@@ -26,7 +26,6 @@ struct Cell {
   std::string kernel;
   unsigned vlen = 0;
   unsigned lmul = 1;
-  bool pooled = true;
   bool cached = true;
 };
 
@@ -68,12 +67,10 @@ ThroughputResult run_cell(const Cell& cell, const SweepOptions& opt) {
   r.vlen = cell.vlen;
   r.lmul = cell.lmul;
   r.n = opt.n;
-  r.pooled = cell.pooled;
   r.cached = cell.cached;
 
   Workload work(opt.n);
   rvv::Machine machine(rvv::Machine::Config{.vlen_bits = cell.vlen,
-                                            .use_buffer_pool = cell.pooled,
                                             .use_exec_cache = cell.cached});
   rvv::MachineScope scope(machine);
 
@@ -145,11 +142,10 @@ std::vector<ThroughputResult> run_throughput_sweep(const SweepOptions& opt) {
   for (const char* kernel : kKernels) {
     const unsigned lmul = std::string(kernel) == "seg_scan_m8" ? 8u : 1u;
     for (const unsigned vlen : opt.vlens) {
-      // unpooled+uncached = pre-pool emulator; pooled+uncached = interpreted
-      // path (the cached cell's baseline); pooled+cached = full fast path.
-      cells.push_back(Cell{kernel, vlen, lmul, /*pooled=*/false, /*cached=*/false});
-      cells.push_back(Cell{kernel, vlen, lmul, /*pooled=*/true, /*cached=*/false});
-      cells.push_back(Cell{kernel, vlen, lmul, /*pooled=*/true, /*cached=*/true});
+      // uncached = interpreted path (the cached cell's baseline);
+      // cached = full fast path.
+      cells.push_back(Cell{kernel, vlen, lmul, /*cached=*/false});
+      cells.push_back(Cell{kernel, vlen, lmul, /*cached=*/true});
     }
   }
 
@@ -170,27 +166,12 @@ std::vector<ThroughputResult> run_throughput_sweep(const SweepOptions& opt) {
   return results;
 }
 
-double pooled_speedup(const std::vector<ThroughputResult>& results,
-                      const std::string& kernel, unsigned vlen) {
-  const ThroughputResult* pooled = nullptr;
-  const ThroughputResult* unpooled = nullptr;
-  for (const auto& r : results) {
-    if (r.kernel == kernel && r.vlen == vlen && !r.cached) {
-      (r.pooled ? pooled : unpooled) = &r;
-    }
-  }
-  if (pooled == nullptr || unpooled == nullptr || unpooled->elems_per_sec == 0.0) {
-    return 0.0;
-  }
-  return pooled->elems_per_sec / unpooled->elems_per_sec;
-}
-
 double cached_speedup(const std::vector<ThroughputResult>& results,
                       const std::string& kernel, unsigned vlen) {
   const ThroughputResult* cached = nullptr;
   const ThroughputResult* interpreted = nullptr;
   for (const auto& r : results) {
-    if (r.kernel == kernel && r.vlen == vlen && r.pooled) {
+    if (r.kernel == kernel && r.vlen == vlen) {
       (r.cached ? cached : interpreted) = &r;
     }
   }
@@ -220,7 +201,6 @@ void write_bench_json(const std::vector<ThroughputResult>& results,
     const auto& r = results[i];
     out << "    {\"kernel\": \"" << r.kernel << "\", \"vlen\": " << r.vlen
         << ", \"lmul\": " << r.lmul << ", \"n\": " << r.n
-        << ", \"pooled\": " << (r.pooled ? "true" : "false")
         << ", \"cached\": " << (r.cached ? "true" : "false")
         << ", \"seconds_per_pass\": " << json_number(r.seconds_per_pass)
         << ", \"elems_per_sec\": " << json_number(r.elems_per_sec)
@@ -245,13 +225,6 @@ void write_bench_json(const std::vector<ThroughputResult>& results,
     if (!seen) pairs.push_back(key);
   }
   out << "  ],\n"
-      << "  \"speedup_pooled_vs_unpooled\": {\n";
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    out << "    \"" << pairs[i].first << "@vlen" << pairs[i].second
-        << "\": " << json_number(pooled_speedup(results, pairs[i].first, pairs[i].second))
-        << (i + 1 < pairs.size() ? "," : "") << "\n";
-  }
-  out << "  },\n"
       << "  \"speedup_cached_vs_interpreted\": {\n";
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     out << "    \"" << pairs[i].first << "@vlen" << pairs[i].second
@@ -428,13 +401,12 @@ void print_parallel_summary(const std::vector<ParallelResult>& results) {
 void print_summary(const std::vector<ThroughputResult>& results) {
   std::cout << std::left << std::setw(14) << "kernel" << std::right
             << std::setw(6) << "vlen" << std::setw(6) << "lmul"
-            << std::setw(10) << "pooled" << std::setw(10) << "cached"
+            << std::setw(10) << "cached"
             << std::setw(16) << "Melems/s" << std::setw(12) << "insts"
             << std::setw(12) << "replays" << '\n';
   for (const auto& r : results) {
     std::cout << std::left << std::setw(14) << r.kernel << std::right
               << std::setw(6) << r.vlen << std::setw(6) << r.lmul
-              << std::setw(10) << (r.pooled ? "yes" : "no")
               << std::setw(10) << (r.cached ? "yes" : "no") << std::setw(16)
               << std::fixed << std::setprecision(3) << r.elems_per_sec / 1e6
               << std::setw(12) << r.instructions
@@ -447,13 +419,7 @@ void print_summary(const std::vector<ThroughputResult>& results) {
     for (const auto& p : pairs) seen = seen || p == key;
     if (!seen) pairs.push_back(key);
   }
-  std::cout << "\npooled vs unpooled speedup (elements/sec, cache off):\n";
-  for (const auto& [kernel, vlen] : pairs) {
-    std::cout << "  " << std::left << std::setw(14) << kernel << " vlen="
-              << std::setw(5) << vlen << std::fixed << std::setprecision(2)
-              << pooled_speedup(results, kernel, vlen) << "x\n";
-  }
-  std::cout << "\nexec cache vs interpreted speedup (elements/sec, pool on):\n";
+  std::cout << "\nexec cache vs interpreted speedup (elements/sec):\n";
   for (const auto& [kernel, vlen] : pairs) {
     std::cout << "  " << std::left << std::setw(14) << kernel << " vlen="
               << std::setw(5) << vlen << std::fixed << std::setprecision(2)

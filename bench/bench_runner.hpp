@@ -3,10 +3,11 @@
 // Where the table benches report *modeled* dynamic-instruction counts, this
 // driver measures how fast the *host* executes the emulation: emulated
 // elements per second of wall-clock, for each kernel × VLEN configuration,
-// with the buffer pool on and off in the same process.  The pool-off rows
-// reproduce the pre-pool allocation-per-instruction emulator, so every run
-// carries its own baseline and the JSON it writes records a trajectory
-// future PRs can regress against.
+// with the execution cache on and off in the same process.  The cache-off
+// rows are the interpreted path, so every run carries its own baseline and
+// the JSON it writes records a trajectory future changes can regress
+// against.  (The buffer pool's own speedup over the pre-pool emulator was
+// frozen in DESIGN.md §6 when that emulator was deleted.)
 //
 // Configurations run on a thread pool: the active machine is thread-local
 // (rvv::MachineScope) and each measurement owns a private Machine, so cells
@@ -27,7 +28,6 @@ struct ThroughputResult {
   unsigned vlen = 0;
   unsigned lmul = 1;
   std::size_t n = 0;
-  bool pooled = true;               ///< buffer pool recycling on?
   bool cached = true;               ///< two-level execution cache on?
   double seconds_per_pass = 0.0;    ///< best timed window's per-pass wall-clock
   double elems_per_sec = 0.0;       ///< n / seconds_per_pass
@@ -57,23 +57,20 @@ struct SweepOptions {
 /// BENCH_emulator.json and BENCH_parallel.json are self-describing and
 /// diffable across PRs.  Bump when a field changes meaning or moves.
 /// v4: throughput cells carry per-window raw samples + window variance.
-inline constexpr int kBenchSchemaVersion = 4;
+/// v5: the pool-off cell, the "pooled" field and speedup_pooled_vs_unpooled
+/// are gone (two configurations per cell).
+inline constexpr int kBenchSchemaVersion = 5;
 
 /// Runs the kernel × VLEN × configuration sweep on a thread pool and
 /// returns one result per cell (deterministic order: kernels outer, VLEN
-/// middle; inner: unpooled+uncached, pooled+uncached, pooled+cached).
-/// The pooled+uncached cell is the interpreted path — the pre-cache
-/// emulator — and the baseline the cached cell's speedup is quoted against.
+/// middle; inner: uncached, cached).  The uncached cell is the interpreted
+/// path — the pre-cache emulator — and the baseline the cached cell's
+/// speedup is quoted against.
 [[nodiscard]] std::vector<ThroughputResult> run_throughput_sweep(
     const SweepOptions& opt);
 
-/// Pooled-over-unpooled elements/sec ratio for one kernel at one VLEN
-/// (execution cache off in both cells); returns 0 when either is missing.
-[[nodiscard]] double pooled_speedup(const std::vector<ThroughputResult>& results,
-                                    const std::string& kernel, unsigned vlen);
-
-/// Cached-over-interpreted elements/sec ratio for one kernel at one VLEN
-/// (buffer pool on in both cells); returns 0 when either is missing.
+/// Cached-over-interpreted elements/sec ratio for one kernel at one VLEN;
+/// returns 0 when either is missing.
 [[nodiscard]] double cached_speedup(const std::vector<ThroughputResult>& results,
                                     const std::string& kernel, unsigned vlen);
 

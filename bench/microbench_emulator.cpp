@@ -6,8 +6,8 @@
 // Two modes:
 //   * default: google-benchmark timings of individual emulator paths;
 //   * --throughput [--json FILE] [--n N] [--smoke]: the parallel sweep from
-//     bench_runner — kernel × VLEN × {pool on, pool off} elements/sec — which
-//     writes the machine-readable BENCH_emulator.json perf trajectory.
+//     bench_runner — kernel × VLEN × {cache on, cache off} elements/sec —
+//     which writes the machine-readable BENCH_emulator.json perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

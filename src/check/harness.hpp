@@ -1,6 +1,6 @@
 // Shared plumbing for the property tables: case normalization, SEW/LMUL
-// dispatch, operand marshalling, and the dual-mode machine harness that
-// pins the emulator's pooled fast path against its legacy element path.
+// dispatch, operand marshalling, the one-machine observation runner, and
+// the comparison against an independent scalar reference.
 //
 // Internal to src/check — properties_{rvv,svm,par}.cpp include it; the
 // public surface is oracle.hpp.
@@ -102,7 +102,7 @@ template <class T>
 }
 
 /// Widen an observation (register contents, mask bits, scalar results) into
-/// the flat uint64 stream the dual-mode comparison and the mismatch printer
+/// the flat uint64 stream the reference comparison and the mismatch printer
 /// work on.
 template <class T>
 void flatten(std::vector<std::uint64_t>& out, std::span<const T> v) {
@@ -118,39 +118,19 @@ inline void flatten(std::vector<std::uint64_t>& out, std::uint64_t x) {
   out.push_back(x);
 }
 
-// --- dual-mode harness ------------------------------------------------------
+// --- observation runner -----------------------------------------------------
 
-/// Run `body` under two fresh machines — buffer pool on and off — and
-/// require bit-identical observations: every emulated instruction carries
-/// two inner loops (pooled pointer walk vs legacy element access) and this
-/// is the differential that keeps them honest.  On agreement the shared
-/// observation lands in `out`.
+/// Run `body` on a fresh machine (register-pressure model off) and return the
+/// observation stream it appends.  Result storage comes from the pool
+/// uninitialized, so an op that leaves a body element unwritten shows up as
+/// a mismatch against the scalar reference (diff_expected).
 template <class Body>
-[[nodiscard]] std::string both_modes(unsigned vlen_bits, Body&& body,
-                                     std::vector<std::uint64_t>& out) {
-  std::vector<std::uint64_t> obs[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    rvv::Machine machine({.vlen_bits = vlen_bits,
-                          .model_register_pressure = false,
-                          .use_buffer_pool = mode == 0});
-    rvv::MachineScope scope(machine);
-    obs[mode].clear();
-    body(obs[mode]);
-  }
-  if (obs[0] != obs[1]) {
-    std::size_t i = 0;
-    while (i < obs[0].size() && i < obs[1].size() && obs[0][i] == obs[1][i]) ++i;
-    std::ostringstream msg;
-    msg << "pooled vs legacy element path diverge at observation " << i;
-    if (i < obs[0].size() && i < obs[1].size()) {
-      msg << " (pooled " << obs[0][i] << ", legacy " << obs[1][i] << ")";
-    } else {
-      msg << " (lengths " << obs[0].size() << " vs " << obs[1].size() << ")";
-    }
-    return msg.str();
-  }
-  out = std::move(obs[0]);
-  return "";
+[[nodiscard]] std::vector<std::uint64_t> observe(unsigned vlen_bits, Body&& body) {
+  rvv::Machine machine({.vlen_bits = vlen_bits, .model_register_pressure = false});
+  rvv::MachineScope scope(machine);
+  std::vector<std::uint64_t> obs;
+  body(obs);
+  return obs;
 }
 
 /// Compare an observation stream against its independent scalar reference.

@@ -4,9 +4,7 @@
 // zero-padded buffers) so the complete register contents — body and tail —
 // are known, then runs the instruction under test at the case's vl and
 // compares the whole register (including the tail-agnostic poison pattern)
-// against an independently coded scalar reference.  Each check runs under
-// both buffer-pool modes, pinning the pooled fast path to the legacy
-// element path (see harness.hpp).
+// against an independently coded scalar reference (see harness.hpp).
 //
 // The fuzzer draws unsigned element types only; signed-specific semantics
 // (vsra on signed types, signed compares, signed index reinterpretation in
@@ -26,10 +24,10 @@ namespace rvvsvm::check {
 
 namespace {
 
-using detail::both_modes;
 using detail::diff_expected;
 using detail::flatten;
 using detail::norm_vlen;
+using detail::observe;
 using detail::to_bits;
 using detail::to_elems;
 
@@ -84,16 +82,12 @@ struct Ctx {
   }
 };
 
-/// Run one sub-check: `body` produces an observation under both pool modes,
-/// which must match `expected`.  Returns "" or "<name>: <difference>".
+/// Run one sub-check: `body`'s observation must match `expected`.  Returns
+/// "" or "<name>: <difference>".
 template <class Body>
 [[nodiscard]] std::string run_sub(const char* name, unsigned vlen, Body&& body,
                                   const std::vector<std::uint64_t>& expected) {
-  std::vector<std::uint64_t> obs;
-  if (std::string err = both_modes(vlen, body, obs); !err.empty()) {
-    return std::string(name) + ": " + err;
-  }
-  return diff_expected(name, obs, expected);
+  return diff_expected(name, observe(vlen, body), expected);
 }
 
 // --- generators -------------------------------------------------------------

@@ -121,8 +121,7 @@ struct Workload {
 
 [[nodiscard]] rvv::Machine::Config machine_config(const Case& c) {
   return rvv::Machine::Config{.vlen_bits = norm_vlen(c.vlen),
-                              .model_register_pressure = (c.offset & 1) != 0,
-                              .use_buffer_pool = (c.offset & 2) != 0};
+                              .model_register_pressure = (c.offset & 1) != 0};
 }
 
 std::string check_roundtrip(const Case& c) {

@@ -1,8 +1,8 @@
 // Kernel-level differential properties for the svm:: layer (and the apps::
-// built on it): every kernel runs under two machine configurations (buffer
-// pool + register-pressure model on, both off) and the shared result is
-// compared against an independent scalar reference — plus, where one
-// exists, the svm::baseline:: scalar kernel.
+// built on it): every kernel runs under two machine configurations
+// (register-pressure model on and off) and the shared result is compared
+// against an independent scalar reference — plus, where one exists, the
+// svm::baseline:: scalar kernel.
 //
 // Problem sizes are drawn around VLMAX (0, 1, VLMAX±1, multi-block, up to
 // 2048 elements) so every stripmine path — empty, single partial block,
@@ -35,22 +35,21 @@ using detail::to_elems;
 
 constexpr std::size_t kMaxN = 2048;
 
-/// Run `body` under {pool on, pressure on} and {pool off, pressure off}
-/// machines, require identical observations, then compare to `expected`.
+/// Run `body` under pressure-on and pressure-off machines, require identical
+/// observations, then compare to `expected`.
 template <class Body>
 [[nodiscard]] std::string run_cfgs(const char* name, unsigned vlen_bits, Body&& body,
                                    const std::vector<std::uint64_t>& expected) {
   std::vector<std::uint64_t> obs[2];
   for (int mode = 0; mode < 2; ++mode) {
     rvv::Machine machine({.vlen_bits = vlen_bits,
-                          .model_register_pressure = mode == 0,
-                          .use_buffer_pool = mode == 0});
+                          .model_register_pressure = mode == 0});
     rvv::MachineScope scope(machine);
     obs[mode].clear();
     body(obs[mode]);
   }
   if (obs[0] != obs[1]) {
-    return std::string(name) + ": pooled/pressure-modeled run diverges from plain run";
+    return std::string(name) + ": pressure-modeled run diverges from plain run";
   }
   return diff_expected(name, obs[0], expected);
 }

@@ -64,12 +64,8 @@ template <class T>
                    .harts = 1};
 }
 
-/// One machine configuration to run a tuned-vs-pinned comparison under.
-struct Mode {
-  bool pressure;
-  bool pool;
-};
-constexpr Mode kModes[] = {{true, true}, {false, false}};
+/// Register-pressure settings to run a tuned-vs-pinned comparison under.
+constexpr bool kPressureModes[] = {true, false};
 
 /// Tuned-vs-pinned identity for one kernel family: runs the tuned call,
 /// reads back the recorded winner, and requires (a) the winner re-run pinned
@@ -80,10 +76,9 @@ template <class T, class Tuned, class Pinned>
 [[nodiscard]] std::string identity_one(const char* name, unsigned vlen,
                                        tune::Shape shape, std::size_t n,
                                        Tuned&& tuned, Pinned&& pinned) {
-  for (const Mode mode : kModes) {
+  for (const bool pressure : kPressureModes) {
     const rvv::Machine::Config cfg{.vlen_bits = vlen,
-                                   .model_register_pressure = mode.pressure,
-                                   .use_buffer_pool = mode.pool};
+                                   .model_register_pressure = pressure};
     tune::AutoTuner tuner;
     tune::TunerScope ts(tuner);
 

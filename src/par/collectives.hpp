@@ -129,7 +129,6 @@ template <rvv::VectorElement T, class Measure>
   const rvv::Machine::Config scratch_cfg{
       .vlen_bits = m0.vlen_bits(),
       .model_register_pressure = m0.regfile() != nullptr,
-      .use_buffer_pool = true,
       .use_exec_cache = false};
   return tuner.choose(key, [&](unsigned lmul) -> std::uint64_t {
     rvv::Machine scratch(scratch_cfg);

@@ -80,11 +80,7 @@ template <VectorElement T, unsigned L = 1>
   detail::AllocGuard guard(m);
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, cap, vl);
-  if (m.pool().recycling()) {
-    std::copy_n(src.data(), vl, out.data());
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = src[i];
-  }
+  std::copy_n(src.data(), vl, out.data());
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
 
@@ -98,11 +94,7 @@ void vse(std::span<T> dst, const vreg<T, L>& a, std::size_t vl) {
   detail::ChargeGuard charge(m, sim::InstClass::kVectorStore, "vse", vl, L, kSewBits<T>);
   detail::AllocGuard guard(m);
   guard.use(a.value_id());
-  if (m.pool().recycling()) {
-    std::copy_n(a.elems().data(), vl, dst.data());
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) dst[i] = a[i];
-  }
+  std::copy_n(a.elems().data(), vl, dst.data());
 }
 
 /// Masked unit-stride store (vse<SEW>.v, v0.t): only active elements are
@@ -121,16 +113,10 @@ void vse_m(const vmask& mask, std::span<T> dst, const vreg<T, L>& a, std::size_t
   detail::AllocGuard guard(m);
   guard.use_mask(mask.value_id());
   guard.use(a.value_id());
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    const T* pa = a.elems().data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (pm[i] != 0) dst[i] = pa[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (mask[i]) dst[i] = a[i];
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  const T* pa = a.elems().data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    if (pm[i] != 0) dst[i] = pa[i];
   }
 }
 
@@ -186,16 +172,10 @@ template <VectorElement T, unsigned L, VectorElement I>
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, cap, vl);
   using UI = std::make_unsigned_t<I>;
-  if (m.pool().recycling()) {
-    const I* pidx = index.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      po[i] = src[static_cast<std::size_t>(static_cast<UI>(pidx[i]))];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      out[i] = src[static_cast<std::size_t>(static_cast<UI>(index[i]))];
-    }
+  const I* pidx = index.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    po[i] = src[static_cast<std::size_t>(static_cast<UI>(pidx[i]))];
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
@@ -216,16 +196,10 @@ void vsuxei(std::span<T> dst, const vreg<I, L>& index, const vreg<T, L>& a,
   guard.use(index.value_id());
   guard.use(a.value_id());
   using UI = std::make_unsigned_t<I>;
-  if (m.pool().recycling()) {
-    const I* pidx = index.elems().data();
-    const T* pa = a.elems().data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      dst[static_cast<std::size_t>(static_cast<UI>(pidx[i]))] = pa[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      dst[static_cast<std::size_t>(static_cast<UI>(index[i]))] = a[i];
-    }
+  const I* pidx = index.elems().data();
+  const T* pa = a.elems().data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    dst[static_cast<std::size_t>(static_cast<UI>(pidx[i]))] = pa[i];
   }
 }
 
@@ -249,19 +223,12 @@ void vsuxei_m(const vmask& mask, std::span<T> dst, const vreg<I, L>& index,
   guard.use(index.value_id());
   guard.use(a.value_id());
   using UI = std::make_unsigned_t<I>;
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    const I* pidx = index.elems().data();
-    const T* pa = a.elems().data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (pm[i] == 0) continue;
-      dst[static_cast<std::size_t>(static_cast<UI>(pidx[i]))] = pa[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (!mask[i]) continue;
-      dst[static_cast<std::size_t>(static_cast<UI>(index[i]))] = a[i];
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  const I* pidx = index.elems().data();
+  const T* pa = a.elems().data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    if (pm[i] == 0) continue;
+    dst[static_cast<std::size_t>(static_cast<UI>(pidx[i]))] = pa[i];
   }
 }
 

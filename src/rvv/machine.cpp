@@ -55,8 +55,7 @@ void notify_reconfigure() noexcept {
 Machine::Machine(Config cfg)
     : cfg_(cfg),
       counter_(),
-      scalar_(counter_),
-      pool_(sim::BufferPool::Config{.recycle = cfg.use_buffer_pool}) {
+      scalar_(counter_) {
   if (cfg_.vlen_bits < 64 || !std::has_single_bit(cfg_.vlen_bits)) {
     // No machine exists yet, so the context carries only the requested VLEN.
     TrapContext ctx;
@@ -67,12 +66,7 @@ Machine::Machine(Config cfg)
                             ctx);
   }
   if (cfg_.model_register_pressure) {
-    // A pool-off (baseline) machine also gets the pre-pool host cost model
-    // inside the allocator, so the benchmark A/B compares against the
-    // emulator as it was before this subsystem existed.
-    regfile_ = std::make_unique<sim::VRegFileModel>(
-        counter_,
-        sim::VRegFileModel::Config{.legacy_host_costs = !cfg.use_buffer_pool});
+    regfile_ = std::make_unique<sim::VRegFileModel>(counter_);
   }
 }
 

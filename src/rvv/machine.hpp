@@ -43,10 +43,6 @@ class Machine {
     /// Model vector register pressure (spill/reload traffic at high LMUL).
     /// Disable for the ablation that isolates pure instruction counts.
     bool model_register_pressure = true;
-    /// Recycle result storage through the machine's buffer pool.  Host-side
-    /// only — modeled counts are identical either way; disable to measure
-    /// the pre-pool allocation-per-instruction baseline.
-    bool use_buffer_pool = true;
     /// Two-level execution cache (decoded-op dispatch + fused strip-mine
     /// traces, see rvv/decode.hpp).  Host-side only — data and modeled
     /// counts are bit-identical either way (the trace fuzz layer and the

@@ -48,12 +48,8 @@ std::size_t vcpop(const vmask& mask, std::size_t vl) {
   detail::AllocGuard guard(m);
   guard.use(mask.value_id());
   std::size_t count = 0;
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    for (std::size_t i = 0; i < vl; ++i) count += pm[i] != 0 ? 1u : 0u;
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) count += mask[i] ? 1u : 0u;
-  }
+  const std::uint8_t* pm = mask.bits().data();
+  for (std::size_t i = 0; i < vl; ++i) count += pm[i] != 0 ? 1u : 0u;
   return count;
 }
 

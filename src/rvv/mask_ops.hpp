@@ -27,14 +27,10 @@ template <VectorElement T, unsigned L, class F>
   guard.use(b.value_id());
   const sim::ValueId id = guard.define(1);  // a mask occupies one register
   auto bits = result_bits(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* pa = a.elems().data();
-    const T* pb = b.elems().data();
-    std::uint8_t* po = bits.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], pb[i]) ? 1 : 0;
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) bits[i] = f(a[i], b[i]) ? 1 : 0;
-  }
+  const T* pa = a.elems().data();
+  const T* pb = b.elems().data();
+  std::uint8_t* po = bits.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], pb[i]) ? 1 : 0;
   return make_vmask(m, std::move(bits), id);
 }
 
@@ -49,13 +45,9 @@ template <VectorElement T, unsigned L, class F>
   guard.use(a.value_id());
   const sim::ValueId id = guard.define(1);
   auto bits = result_bits(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* pa = a.elems().data();
-    std::uint8_t* po = bits.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], x) ? 1 : 0;
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) bits[i] = f(a[i], x) ? 1 : 0;
-  }
+  const T* pa = a.elems().data();
+  std::uint8_t* po = bits.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], x) ? 1 : 0;
   return make_vmask(m, std::move(bits), id);
 }
 
@@ -73,14 +65,10 @@ template <class F>
   guard.use(b.value_id());
   const sim::ValueId id = guard.define(1);
   auto bits = result_bits(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const std::uint8_t* pa = a.bits().data();
-    const std::uint8_t* pb = b.bits().data();
-    std::uint8_t* po = bits.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i] != 0, pb[i] != 0) ? 1 : 0;
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) bits[i] = f(a[i], b[i]) ? 1 : 0;
-  }
+  const std::uint8_t* pa = a.bits().data();
+  const std::uint8_t* pb = b.bits().data();
+  std::uint8_t* po = bits.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i] != 0, pb[i] != 0) ? 1 : 0;
   return make_vmask(m, std::move(bits), id);
 }
 
@@ -206,18 +194,11 @@ template <VectorElement T, unsigned L = 1>
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, cap, vl);
   T running{0};
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      po[i] = running;
-      if (pm[i] != 0) running = detail::wrap_add(running, T{1});
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      out[i] = running;
-      if (mask[i]) running = detail::wrap_add(running, T{1});
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    po[i] = running;
+    if (pm[i] != 0) running = detail::wrap_add(running, T{1});
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
@@ -233,12 +214,8 @@ template <VectorElement T, unsigned L = 1>
   detail::AllocGuard guard(m);
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, cap, vl);
-  if (m.pool().recycling()) {
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = static_cast<T>(i);
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = static_cast<T>(i);
-  }
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = static_cast<T>(i);
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
 

@@ -19,11 +19,7 @@ template <VectorElement T, unsigned L = 1>
   detail::AllocGuard guard(m);
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, cap, vl);
-  if (m.pool().recycling()) {
-    std::fill_n(out.data(), vl, static_cast<T>(x));
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = x;
-  }
+  std::fill_n(out.data(), vl, static_cast<T>(x));
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
 

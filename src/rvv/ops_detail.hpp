@@ -242,19 +242,13 @@ template <VectorElement T>
 /// Result storage for an instruction that fully writes the body [0, vl):
 /// only the tail [vl, capacity) needs the poison pattern, so skip the body
 /// fill.  Callers must write every body element (vcompress, which writes
-/// only the packed prefix, uses poisoned_elems instead).
-///
-/// Skipping the body fill is only possible because the pool hands out
-/// uninitialized storage — a std::vector constructor always initializes
-/// every element.  So in non-recycling (baseline) mode we full-fill,
-/// reproducing the pre-pool cost model the benchmark driver A/Bs against.
-/// The result is bit-identical either way: the body is overwritten.
+/// only the packed prefix, uses poisoned_elems instead).  The pool hands
+/// out uninitialized storage, so the skipped fill is never paid.
 template <VectorElement T>
 [[nodiscard]] sim::PooledBuffer<T> result_elems(Machine& m, std::size_t capacity,
                                                std::size_t vl) {
   sim::PooledBuffer<T> buf(m.pool(), capacity);
-  const std::size_t from = m.pool().recycling() ? vl : 0;
-  std::fill(buf.data() + from, buf.data() + capacity, kTailPoison<T>);
+  std::fill(buf.data() + vl, buf.data() + capacity, kTailPoison<T>);
   return buf;
 }
 
@@ -263,8 +257,7 @@ template <VectorElement T>
 [[nodiscard]] inline sim::PooledBuffer<std::uint8_t> result_bits(
     Machine& m, std::size_t capacity, std::size_t vl) {
   sim::PooledBuffer<std::uint8_t> buf(m.pool(), capacity);
-  const std::size_t from = m.pool().recycling() ? vl : 0;
-  std::fill(buf.data() + from, buf.data() + capacity, std::uint8_t{1});
+  std::fill(buf.data() + vl, buf.data() + capacity, std::uint8_t{1});
   return buf;
 }
 
@@ -310,15 +303,9 @@ template <VectorElement T, unsigned LMUL, class F>
   guard.use(a.value_id());
   const sim::ValueId id = guard.define(LMUL);
   auto out = result_elems<T>(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* pa = a.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i]);
-  } else {
-    // The pre-pool emulator's loop (checked per-element access), kept so
-    // baseline-mode timings reproduce its cost.  Same values either way.
-    for (std::size_t i = 0; i < vl; ++i) out[i] = f(a[i]);
-  }
+  const T* pa = a.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i]);
   return make_vreg<T, LMUL>(m, std::move(out), id);
 }
 
@@ -339,14 +326,10 @@ template <VectorElement T, unsigned LMUL, class F>
   guard.use(b.value_id());
   const sim::ValueId id = guard.define(LMUL);
   auto out = result_elems<T>(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* pa = a.elems().data();
-    const T* pb = b.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], pb[i]);
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = f(a[i], b[i]);
-  }
+  const T* pa = a.elems().data();
+  const T* pb = b.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = f(pa[i], pb[i]);
   return make_vreg<T, LMUL>(m, std::move(out), id);
 }
 
@@ -358,15 +341,9 @@ template <VectorElement T, unsigned LMUL, class F>
   return unary(cls, op, a, vl, [&](T ai) { return f(ai, x); });
 }
 
-/// Inactive-element policy for masked instructions: elements whose mask bit
-/// is clear take the maskedoff value (mask-undisturbed) or poison when
-/// maskedoff is vundefined() (mask-agnostic), matching the intrinsic API.
-template <VectorElement T, unsigned LMUL>
-[[nodiscard]] T inactive_value(const vreg<T, LMUL>& maskedoff, std::size_t i) {
-  return maskedoff.defined() ? maskedoff[i] : kTailPoison<T>;
-}
-
-/// Masked vector-vector instruction.
+/// Masked vector-vector instruction.  Elements whose mask bit is clear take
+/// the maskedoff value (mask-undisturbed) or poison when maskedoff is
+/// vundefined() (mask-agnostic), matching the intrinsic API.
 template <VectorElement T, unsigned LMUL, class F>
 [[nodiscard]] vreg<T, LMUL> masked_binary_vv(sim::InstClass cls, const char* op,
                                              const vmask& mask,
@@ -393,20 +370,14 @@ template <VectorElement T, unsigned LMUL, class F>
   guard.use(b.value_id());
   const sim::ValueId id = guard.define(LMUL);
   auto out = result_elems<T>(m, a.capacity(), vl);
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    const T* pa = a.elems().data();
-    const T* pb = b.elems().data();
-    const T* poff = maskedoff.defined() ? maskedoff.elems().data() : nullptr;
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      po[i] = pm[i] != 0 ? f(pa[i], pb[i])
-                         : (poff != nullptr ? poff[i] : kTailPoison<T>);
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      out[i] = mask[i] ? f(a[i], b[i]) : inactive_value(maskedoff, i);
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  const T* pa = a.elems().data();
+  const T* pb = b.elems().data();
+  const T* poff = maskedoff.defined() ? maskedoff.elems().data() : nullptr;
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    po[i] = pm[i] != 0 ? f(pa[i], pb[i])
+                       : (poff != nullptr ? poff[i] : kTailPoison<T>);
   }
   return make_vreg<T, LMUL>(m, std::move(out), id);
 }

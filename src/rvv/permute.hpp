@@ -26,17 +26,11 @@ template <VectorElement T, unsigned L>
   guard.use(src.value_id());
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, src.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* pd = dest.elems().data();
-    const T* ps = src.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      po[i] = i < offset ? pd[i] : ps[i - offset];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      out[i] = i < offset ? dest[i] : src[i - offset];
-    }
+  const T* pd = dest.elems().data();
+  const T* ps = src.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    po[i] = i < offset ? pd[i] : ps[i - offset];
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
@@ -58,18 +52,11 @@ template <VectorElement T, unsigned L>
   auto out = detail::result_elems<T>(m, src.capacity(), vl);
   const std::size_t cap = src.capacity();
   const bool all_out = offset >= cap;
-  if (m.pool().recycling()) {
-    const T* ps = src.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      const std::size_t from = i + offset;
-      po[i] = !all_out && from < cap ? ps[from] : T{0};
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      const std::size_t from = i + offset;
-      out[i] = !all_out && from < cap ? src[from] : T{0};
-    }
+  const T* ps = src.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    const std::size_t from = i + offset;
+    po[i] = !all_out && from < cap ? ps[from] : T{0};
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
@@ -87,13 +74,9 @@ template <VectorElement T, unsigned L>
   guard.use(src.value_id());
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, src.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* ps = src.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = (i == 0) ? x : ps[i - 1];
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = (i == 0) ? x : src[i - 1];
-  }
+  const T* ps = src.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = (i == 0) ? x : ps[i - 1];
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
 
@@ -109,13 +92,9 @@ template <VectorElement T, unsigned L>
   guard.use(src.value_id());
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, src.capacity(), vl);
-  if (m.pool().recycling()) {
-    const T* ps = src.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) po[i] = (i + 1 == vl) ? x : ps[i + 1];
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) out[i] = (i + 1 == vl) ? x : src[i + 1];
-  }
+  const T* ps = src.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) po[i] = (i + 1 == vl) ? x : ps[i + 1];
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
 
@@ -138,20 +117,13 @@ template <VectorElement T, unsigned L, VectorElement I>
   const sim::ValueId id = guard.define(L);
   auto out = detail::result_elems<T>(m, src.capacity(), vl);
   using UI = std::make_unsigned_t<I>;
-  if (m.pool().recycling()) {
-    const T* ps = src.elems().data();
-    const I* pidx = index.elems().data();
-    const std::size_t cap = src.capacity();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      const auto ix = static_cast<std::size_t>(static_cast<UI>(pidx[i]));
-      po[i] = ix < cap ? ps[ix] : T{0};
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      const auto ix = static_cast<std::size_t>(static_cast<UI>(index[i]));
-      out[i] = ix < src.capacity() ? src[ix] : T{0};
-    }
+  const T* ps = src.elems().data();
+  const I* pidx = index.elems().data();
+  const std::size_t cap = src.capacity();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    const auto ix = static_cast<std::size_t>(static_cast<UI>(pidx[i]));
+    po[i] = ix < cap ? ps[ix] : T{0};
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }
@@ -176,17 +148,11 @@ template <VectorElement T, unsigned L>
   // Keeps the full poison fill: only the packed prefix [0, k) is written.
   auto out = detail::poisoned_elems<T>(m, src.capacity());
   std::size_t k = 0;
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    const T* ps = src.elems().data();
-    T* po = out.data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (pm[i] != 0) po[k++] = ps[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (mask[i]) out[k++] = src[i];
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  const T* ps = src.elems().data();
+  T* po = out.data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    if (pm[i] != 0) po[k++] = ps[i];
   }
   return detail::make_vreg<T, L>(m, std::move(out), id);
 }

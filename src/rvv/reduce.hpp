@@ -22,12 +22,8 @@ template <VectorElement T, unsigned L, class F>
   AllocGuard guard(m);
   guard.use(a.value_id());
   T acc = seed;
-  if (m.pool().recycling()) {
-    const T* pa = a.elems().data();
-    for (std::size_t i = 0; i < vl; ++i) acc = f(acc, pa[i]);
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) acc = f(acc, a[i]);
-  }
+  const T* pa = a.elems().data();
+  for (std::size_t i = 0; i < vl; ++i) acc = f(acc, pa[i]);
   return acc;
 }
 
@@ -44,16 +40,10 @@ template <VectorElement T, unsigned L, class F>
   guard.use_mask(mask.value_id());
   guard.use(a.value_id());
   T acc = seed;
-  if (m.pool().recycling()) {
-    const std::uint8_t* pm = mask.bits().data();
-    const T* pa = a.elems().data();
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (pm[i] != 0) acc = f(acc, pa[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < vl; ++i) {
-      if (mask[i]) acc = f(acc, a[i]);
-    }
+  const std::uint8_t* pm = mask.bits().data();
+  const T* pa = a.elems().data();
+  for (std::size_t i = 0; i < vl; ++i) {
+    if (pm[i] != 0) acc = f(acc, pa[i]);
   }
   return acc;
 }

@@ -39,7 +39,7 @@ BufferPool::BlockHeader* BufferPool::acquire_block(std::size_t payload_bytes) {
   }
 
   void* raw = nullptr;
-  if (cfg_.recycle && !free_blocks_[cls].empty()) {
+  if (!free_blocks_[cls].empty()) {
     raw = free_blocks_[cls].back();
     free_blocks_[cls].pop_back();
     ++stats_.block_reuses;
@@ -59,12 +59,8 @@ void BufferPool::recycle_block(BlockHeader* h) {
   debug_check_owner();
   const unsigned cls = h->class_idx;
   stats_.bytes_in_use -= class_bytes(cls);
-  if (cfg_.recycle) {
-    free_blocks_[cls].push_back(h);
-    stats_.bytes_cached += class_bytes(cls);
-  } else {
-    ::operator delete(h);
-  }
+  free_blocks_[cls].push_back(h);
+  stats_.bytes_cached += class_bytes(cls);
 }
 
 BufferPool::FreelistShape BufferPool::freelist_shape() const {
@@ -152,9 +148,7 @@ void BufferPool::restore_freelists(const Stats& stats,
     cell->next = free_cells_;
     free_cells_ = cell;
   }
-#ifndef NDEBUG
   owner_ = std::thread::id{};
-#endif
 }
 
 BufferPool::RefCell* BufferPool::acquire_cell() {
@@ -163,7 +157,7 @@ BufferPool::RefCell* BufferPool::acquire_cell() {
   ++stats_.cell_acquires;
   ++stats_.cells_in_use;
   RefCell* cell = nullptr;
-  if (cfg_.recycle && free_cells_ != nullptr) {
+  if (free_cells_ != nullptr) {
     cell = free_cells_;
     free_cells_ = cell->next;
     ++stats_.cell_reuses;
@@ -179,12 +173,8 @@ void BufferPool::release_cell(RefCell* cell) {
   debug_check_owner();
   assert(stats_.cells_in_use > 0);
   --stats_.cells_in_use;
-  if (cfg_.recycle) {
-    cell->next = free_cells_;
-    free_cells_ = cell;
-  } else {
-    delete cell;
-  }
+  cell->next = free_cells_;
+  free_cells_ = cell;
 }
 
 }  // namespace rvvsvm::sim

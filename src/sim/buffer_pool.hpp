@@ -27,11 +27,8 @@
 // the fork-join pattern — stays legal.
 //
 // Recycling is host-side only and must never change modeled behavior:
-// dynamic instruction counts, spill/reload traffic and element values are
-// bit-for-bit identical with recycling on or off (tests/test_counts_stability
-// pins this).  Config{.recycle = false} degrades every acquire to a plain
-// heap allocation, which is how the benchmark driver measures the pre-pool
-// baseline in the same process.
+// dynamic instruction counts, spill/reload traffic and element values do not
+// depend on which blocks a result happens to reuse.
 #pragma once
 
 #include <array>
@@ -39,7 +36,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -49,12 +45,6 @@ namespace rvvsvm::sim {
 
 class BufferPool {
  public:
-  struct Config {
-    /// When false, every acquire is a fresh heap allocation and every
-    /// release frees it — the pre-pool behavior, kept for A/B measurement.
-    bool recycle = true;
-  };
-
   struct Stats {
     std::uint64_t block_acquires = 0;  ///< element/mask blocks handed out
     std::uint64_t block_reuses = 0;    ///< ... of which came from a freelist
@@ -144,7 +134,6 @@ class BufferPool {
   };
 
   BufferPool() = default;
-  explicit BufferPool(Config cfg) : cfg_(cfg) {}
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -171,7 +160,6 @@ class BufferPool {
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] bool recycling() const noexcept { return cfg_.recycle; }
 
   /// Fault injection (chaos testing): arm a one-shot countdown so the n-th
   /// subsequent acquire (block or cell, n >= 1) throws rvvsvm::PoolAllocTrap
@@ -236,14 +224,14 @@ class BufferPool {
 #endif
   }
 
-  Config cfg_;
   Stats stats_;
   std::uint64_t alloc_trap_in_ = 0;  ///< 0 = disarmed; see trap_allocation_after
   std::vector<void*> free_blocks_[kNumClasses];
   RefCell* free_cells_ = nullptr;
-#ifndef NDEBUG
-  std::thread::id owner_{};  ///< bound lazily; see debug_check_owner
-#endif
+  /// Bound lazily; see debug_check_owner.  Declared in every build (only the
+  /// check is debug-only) so the pool's and Machine's layout does not depend
+  /// on NDEBUG.
+  std::thread::id owner_{};
 };
 
 /// A refcount-shared, pool-backed array of T — the storage behind vreg and
@@ -253,10 +241,6 @@ class BufferPool {
 /// copy's destruction returns the block to the owning pool, which must
 /// outlive every buffer acquired from it (the vreg/Machine lifetime
 /// contract).
-///
-/// When the owning pool is in non-recycling (baseline) mode, copies deep
-/// copy instead — reproducing the pre-pool emulator's allocation-and-memcpy
-/// per vreg copy, so a pool-off machine measures the true old cost model.
 template <class T>
 class PooledBuffer {
  public:
@@ -268,16 +252,9 @@ class PooledBuffer {
   PooledBuffer(BufferPool& pool, std::size_t count)
       : hdr_(pool.acquire_block(count * sizeof(T))), size_(count) {}
 
-  PooledBuffer(const PooledBuffer& other)
+  PooledBuffer(const PooledBuffer& other) noexcept
       : hdr_(other.hdr_), size_(other.size_) {
-    if (hdr_ == nullptr) return;
-    if (hdr_->pool->recycling()) {
-      BufferPool::retain(hdr_);
-    } else {
-      hdr_ = hdr_->pool->acquire_block(size_ * sizeof(T));
-      std::memcpy(BufferPool::payload(hdr_), BufferPool::payload(other.hdr_),
-                  size_ * sizeof(T));
-    }
+    if (hdr_ != nullptr) BufferPool::retain(hdr_);
   }
   PooledBuffer(PooledBuffer&& other) noexcept
       : hdr_(std::exchange(other.hdr_, nullptr)),

@@ -15,14 +15,6 @@ constexpr bool valid_lmul(unsigned lmul) noexcept {
 
 }  // namespace
 
-VRegFileModel::VRegFileModel(InstCounter& counter, Config cfg)
-    : counter_(&counter), cfg_(cfg), reg_owner_(cfg.num_regs, kNoValue) {
-  if (cfg_.num_regs < 2 || cfg_.num_regs % 8 != 0 || cfg_.num_regs > 64) {
-    throw std::invalid_argument(
-        "VRegFileModel: num_regs must be a positive multiple of 8, at most 64");
-  }
-}
-
 void VRegFileModel::trace_begin() {
   trace_line_ = "#" + std::to_string(++inst_seq_);
 }
@@ -43,7 +35,7 @@ void VRegFileModel::use_as_mask(ValueId v) {
     // The compiler materializes the mask into v0 (vmv1r.v v0, vK).
     counter_->add(InstClass::kVectorMove);
     active_mask_ = v;
-    if (trace_sink_ || cfg_.legacy_host_costs) trace_event("mask->v0");
+    if (trace_sink_) trace_event("mask->v0");
   }
 }
 
@@ -55,59 +47,18 @@ ValueId VRegFileModel::define(unsigned lmul) {
   Value val;
   val.lmul = lmul;
   val.base_reg = base;
-  if (in_inst_) {
-    val.pin_epoch = pin_epoch_;
-    if (cfg_.legacy_host_costs) legacy_pinned_.push_back(id);
-  }
-  if (cfg_.legacy_host_costs) {
-    auto [it, inserted] = legacy_values_.emplace(id, val);
-    assert(inserted);
-    static_cast<void>(inserted);
-    touch(it->second);
-  } else {
-    values_.push_back(Entry{id, val});
-    touch(values_.back().val);
-  }
-  if (trace_sink_ || cfg_.legacy_host_costs) {
+  if (in_inst_) val.pin_epoch = pin_epoch_;
+  values_.push_back(Entry{id, val});
+  touch(values_.back().val);
+  if (trace_sink_) {
     trace_event("def v" + std::to_string(base) + ":m" + std::to_string(lmul));
   }
   return id;
 }
 
-// The pre-pool model un-pinned values one map lookup at a time at the end
-// of each instruction; replaying that lookup traffic keeps baseline-mode
-// timings honest.  Clearing pin_epoch is a no-op for correctness (the epoch
-// was already advanced), it just mirrors the old store.
-void VRegFileModel::end_inst_legacy() {
-  for (ValueId v : legacy_pinned_) {
-    auto it = legacy_values_.find(v);
-    if (it != legacy_values_.end()) it->second.pin_epoch = 0;
-  }
-  legacy_pinned_.clear();
-}
-
-void VRegFileModel::release_legacy(ValueId v) {
-  auto it = legacy_values_.find(v);
-  if (it == legacy_values_.end()) return;
-  if (it->second.base_reg >= 0) {
-    vacate(it->second.base_reg, it->second.lmul);
-  }
-  if (active_mask_ == v) active_mask_ = kNoValue;
-  legacy_values_.erase(it);
-}
-
-unsigned VRegFileModel::live_values() const noexcept {
-  return static_cast<unsigned>(cfg_.legacy_host_costs ? legacy_values_.size()
-                                                      : values_.size());
-}
-
 unsigned VRegFileModel::resident_values() const noexcept {
   unsigned n = 0;
-  if (cfg_.legacy_host_costs) {
-    for (const auto& [id, val] : legacy_values_) n += (val.base_reg >= 0) ? 1u : 0u;
-  } else {
-    for (const Entry& e : values_) n += (e.val.base_reg >= 0) ? 1u : 0u;
-  }
+  for (const Entry& e : values_) n += (e.val.base_reg >= 0) ? 1u : 0u;
   return n;
 }
 
@@ -118,13 +69,12 @@ int VRegFileModel::make_room(unsigned lmul) {
   // clear — fewest distinct owners, least recently used on ties — and spill
   // exactly those owners, the way an allocator evicts an interfering live
   // range rather than arbitrary registers.
-  const unsigned first = cfg_.reserve_v0 ? std::max(1u, lmul) : 0u;
   int best_base = -1;
   std::size_t best_owners = std::numeric_limits<std::size_t>::max();
   std::uint64_t best_recency = std::numeric_limits<std::uint64_t>::max();
   std::vector<ValueId> best_victims;
 
-  for (unsigned base = first; base + lmul <= cfg_.num_regs; base += lmul) {
+  for (unsigned base = first_group(lmul); base + lmul <= kNumRegs; base += lmul) {
     std::vector<ValueId> owners;
     std::uint64_t recency = 0;
     bool usable = true;
@@ -158,7 +108,7 @@ int VRegFileModel::make_room(unsigned lmul) {
   }
   for (ValueId victim : best_victims) {
     Value& val = *find_value(victim);
-    if (trace_sink_ || cfg_.legacy_host_costs) {
+    if (trace_sink_) {
       trace_event("spill v" + std::to_string(val.base_reg) + ":m" +
                   std::to_string(val.lmul));
     }

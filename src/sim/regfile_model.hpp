@@ -24,12 +24,12 @@
 // stack frames, which is the overhead regime the paper's Table 5 reflects.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/inst_counter.hpp"
@@ -44,24 +44,11 @@ inline constexpr ValueId kNoValue = 0;
 
 class VRegFileModel {
  public:
-  struct Config {
-    /// Architectural vector registers (the RVV file size).  At most 64 so
-    /// occupancy fits one bitmask word.
-    unsigned num_regs = 32;
-    /// Reserve v0 as the mask register, as RVV mandates for masked ops.
-    bool reserve_v0 = true;
-    /// Reproduce the pre-pool emulator's host cost model: values live in a
-    /// node-based hash map (one heap node per define/release) and trace
-    /// lines are built whether or not a sink is installed, as the original
-    /// implementation did.  Modeled counts are identical either way (the
-    /// golden tests pin this); the benchmark driver enables this together
-    /// with non-recycling storage to measure an honest pre-optimization
-    /// baseline in the same process.
-    bool legacy_host_costs = false;
-  };
+  /// Architectural vector registers: RVV fixes the file at 32, with v0
+  /// reserved as the mask register for masked ops.
+  static constexpr unsigned kNumRegs = 32;
 
-  explicit VRegFileModel(InstCounter& counter) : VRegFileModel(counter, Config{}) {}
-  VRegFileModel(InstCounter& counter, Config cfg);
+  explicit VRegFileModel(InstCounter& counter) : counter_(&counter) {}
 
   VRegFileModel(const VRegFileModel&) = delete;
   VRegFileModel& operator=(const VRegFileModel&) = delete;
@@ -84,7 +71,6 @@ class VRegFileModel {
   void end_inst() {
     assert(in_inst_ && "end_inst without begin_inst");
     if (trace_sink_) trace_end();
-    if (cfg_.legacy_host_costs) end_inst_legacy();
     ++pin_epoch_;
     in_inst_ = false;
   }
@@ -99,13 +85,8 @@ class VRegFileModel {
     const bool was_spilled = val->base_reg < 0;
     if (was_spilled) reload(v, *val);
     touch(*val);
-    if (in_inst_) {
-      if (cfg_.legacy_host_costs && val->pin_epoch != pin_epoch_) {
-        legacy_pinned_.push_back(v);
-      }
-      val->pin_epoch = pin_epoch_;
-    }
-    if (trace_sink_ || cfg_.legacy_host_costs) trace_use(*val, was_spilled);
+    if (in_inst_) val->pin_epoch = pin_epoch_;
+    if (trace_sink_) trace_use(*val, was_spilled);
   }
 
   /// Operand read through the mask port (v0).  Like use(), but additionally
@@ -124,10 +105,6 @@ class VRegFileModel {
   /// already released.
   void release(ValueId v) {
     if (v == kNoValue) return;
-    if (cfg_.legacy_host_costs) {
-      release_legacy(v);
-      return;
-    }
     for (auto it = values_.rbegin(); it != values_.rend(); ++it) {
       if (it->id != v) continue;
       if (it->val.base_reg >= 0) {
@@ -141,7 +118,9 @@ class VRegFileModel {
   }
 
   /// Number of values currently live (in a register or spilled).
-  [[nodiscard]] unsigned live_values() const noexcept;
+  [[nodiscard]] unsigned live_values() const noexcept {
+    return static_cast<unsigned>(values_.size());
+  }
   /// Number of live values currently resident in registers.
   [[nodiscard]] unsigned resident_values() const noexcept;
   /// Total spill stores charged so far.
@@ -215,19 +194,12 @@ class VRegFileModel {
   };
 
   [[nodiscard]] Value* find_value(ValueId v) noexcept {
-    if (cfg_.legacy_host_costs) {
-      auto it = legacy_values_.find(v);
-      return it != legacy_values_.end() ? &it->second : nullptr;
-    }
     // Backwards: the most recently defined values are also the most used.
     for (auto it = values_.rbegin(); it != values_.rend(); ++it) {
       if (it->id == v) return &it->val;
     }
     return nullptr;
   }
-
-  void release_legacy(ValueId v);
-  void end_inst_legacy();
 
   [[nodiscard]] bool pinned(const Value& val) const noexcept {
     return val.pin_epoch == pin_epoch_;
@@ -238,12 +210,17 @@ class VRegFileModel {
     return ((std::uint64_t{1} << lmul) - 1) << base;
   }
 
+  /// First candidate base for an lmul-aligned group: v0 is the mask
+  /// register, so the lowest window that avoids it starts at max(1, lmul).
+  [[nodiscard]] static unsigned first_group(unsigned lmul) noexcept {
+    return lmul > 1 ? lmul : 1;
+  }
+
   /// Find a free lmul-aligned group; returns base register or -1.  One
   /// bitmask test per candidate window, lowest base first (the same search
   /// order the scanning version used, so allocation is unchanged).
   [[nodiscard]] int find_free_group(unsigned lmul) const noexcept {
-    const unsigned first = cfg_.reserve_v0 ? (lmul > 1 ? lmul : 1) : 0;
-    for (unsigned base = first; base + lmul <= cfg_.num_regs; base += lmul) {
+    for (unsigned base = first_group(lmul); base + lmul <= kNumRegs; base += lmul) {
       if ((occupied_mask_ & group_mask(base, lmul)) == 0) return static_cast<int>(base);
     }
     return -1;
@@ -263,12 +240,9 @@ class VRegFileModel {
   void trace_use(const Value& val, bool was_spilled);
 
   InstCounter* counter_;
-  Config cfg_;
-  std::vector<ValueId> reg_owner_;          // per architectural register
+  std::array<ValueId, kNumRegs> reg_owner_{};  // per architectural register
   std::uint64_t occupied_mask_ = 0;         // bit r set iff reg_owner_[r] != kNoValue
-  std::vector<Entry> values_;               // the store (fast mode)
-  std::unordered_map<ValueId, Value> legacy_values_;  // ... (legacy mode)
-  std::vector<ValueId> legacy_pinned_;  // per-inst pin list (legacy mode)
+  std::vector<Entry> values_;               // the live values
   ValueId next_id_ = 1;
   ValueId active_mask_ = kNoValue;          // value currently held in v0
   std::uint64_t pin_epoch_ = 1;

@@ -214,7 +214,10 @@ struct SectionView {
   }
   Reader header(blob.data() + kMagic.size(), kHeaderBytes - kMagic.size());
   const std::uint32_t version = header.u32();
-  if (version != kFormatVersion) fail("unsupported version");
+  if (version != kFormatVersion) {
+    fail("unsupported version " + std::to_string(version) +
+         " (this build reads version " + std::to_string(kFormatVersion) + ")");
+  }
   if (header.u32() != 0) fail("reserved flags set");
   const std::uint32_t section_count = header.u32();
   const std::uint32_t stored_header_crc = header.u32();
@@ -282,7 +285,6 @@ constexpr std::uint32_t kCacheStatFields = 11;
   const rvv::Machine::Config& cfg = m.config();
   w.u32(cfg.vlen_bits);
   w.u8(cfg.model_register_pressure ? 1 : 0);
-  w.u8(cfg.use_buffer_pool ? 1 : 0);
   w.u8(cfg.use_exec_cache ? 1 : 0);
   w.counts(m.counter().snapshot());
   const rvv::Machine::VsetMemo memo = m.vset_memo();
@@ -376,7 +378,6 @@ constexpr std::uint32_t kCacheStatFields = 11;
     fail("VLEN out of range");
   }
   img.config.model_register_pressure = r.boolean();
-  img.config.use_buffer_pool = r.boolean();
   img.config.use_exec_cache = r.boolean();
   img.counter = r.counts();
   img.memo.sew_bits = r.u32();
@@ -505,9 +506,6 @@ void validate_target(const rvv::Machine& m, const MachineImage& img) {
   }
   if (img.config.model_register_pressure != cfg.model_register_pressure) {
     fail("register-pressure mode mismatch");
-  }
-  if (img.config.use_buffer_pool != cfg.use_buffer_pool) {
-    fail("buffer-pool mode mismatch");
   }
   if (img.config.use_exec_cache != cfg.use_exec_cache) {
     fail("exec-cache mode mismatch");

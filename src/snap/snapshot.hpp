@@ -12,7 +12,7 @@
 // decoder_cache_serialize).
 //
 // What a snapshot carries:
-//   * machine configuration (VLEN, pressure mode, buffer pool, exec cache) —
+//   * machine configuration (VLEN, pressure mode, exec cache) —
 //     compared against the restore target, never applied to it;
 //   * the instruction-count ledger (per-class counter) and the vsetvl memo;
 //   * register-file telemetry (spill/reload counters, LRU clock, value ids);
@@ -49,7 +49,7 @@
 // Sections appear in order: one kSectionPool (pool snapshots only), one
 // kSectionMachine per machine (hart order, rescue machine last when the
 // pool section flags one), one kSectionTuner.  Unknown ids, trailing bytes,
-// or reserved flags are rejected — v1 readers are strict.
+// or reserved flags are rejected — readers are strict.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,8 @@
 namespace rvvsvm::snap {
 
 /// Bumped whenever the layout changes; loaders reject other versions.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2 dropped the machine section's buffer-pool mode byte.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section identifiers (stable: new sections append).
 inline constexpr std::uint32_t kSectionPool = 1;

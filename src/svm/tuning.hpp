@@ -78,7 +78,6 @@ template <rvv::VectorElement T, class Measure>
   const rvv::Machine::Config scratch_cfg{
       .vlen_bits = m.vlen_bits(),
       .model_register_pressure = m.regfile() != nullptr,
-      .use_buffer_pool = true,
       // Counts are bit-identical with the cache on or off (the trace fuzz
       // layer pins this); off keeps each measurement run self-contained.
       .use_exec_cache = false};

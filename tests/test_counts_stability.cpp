@@ -110,41 +110,6 @@ TEST(CountsStability, RadixSortLmul1) {
   }
 }
 
-/// Baseline mode (pool off) runs different host code on purpose — the
-/// original checked loops, a node-based value table, deep vreg copies — so
-/// the benchmark driver can A/B against the pre-pool emulator.  Everything it
-/// *models* must still be identical, including the spill/reload traffic of
-/// the register-hungry segmented scan.
-TEST(CountsStability, BaselineModeCountsIdentical) {
-  struct Case {
-    Golden golden;
-    void (*kernel)();
-  };
-  const Case cases[] = {
-      {Golden{1024, 11264, 0, 0},
-       [] {
-         auto data = random_u32(kN, 3);
-         svm::plus_scan<T, 1>(std::span<T>(data));
-       }},
-      {Golden{1024, 16481, 7584, 5056},
-       [] {
-         auto data = random_u32(kN, 3);
-         const auto flags = random_head_flags(kN, 100, 4);
-         svm::seg_plus_scan<T, 8>(std::span<T>(data), std::span<const T>(flags));
-       }},
-  };
-  for (const auto& c : cases) {
-    rvv::Machine machine(rvv::Machine::Config{.vlen_bits = c.golden.vlen,
-                                              .use_buffer_pool = false});
-    rvv::MachineScope scope(machine);
-    c.kernel();
-    const auto snap = machine.counter().snapshot();
-    EXPECT_EQ(snap.total(), c.golden.total);
-    EXPECT_EQ(snap.count(sim::InstClass::kVectorSpill), c.golden.spills);
-    EXPECT_EQ(snap.count(sim::InstClass::kVectorReload), c.golden.reloads);
-  }
-}
-
 /// The sharded engine's determinism invariant: for a fixed shard size the
 /// merged dynamic instruction count of a two-level collective is a golden
 /// constant — identical for 1, 2, 4 and 8 harts, stable across PRs, and

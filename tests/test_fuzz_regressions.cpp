@@ -4,8 +4,8 @@
 // a deterministic oracle smoke run.
 //
 // The Case-based tests replay through check::run_property, so they keep
-// exercising the exact differential (pooled vs legacy machine, emulator vs
-// scalar reference) that caught the bug originally.
+// exercising the emulator-vs-scalar-reference differential that caught the
+// bug originally.
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -515,7 +515,7 @@ TEST(FuzzRegressions, SnapRoundTripSpillHeavyShape) {
   c.sew = 64;
   c.lmul = 8;
   c.vl = 777;
-  c.offset = 3;  // pressure model on, buffer pool on
+  c.offset = 1;  // pressure model on
   c.scalar = 1;  // segmented scan workload
   c.a.assign(777, 5);
   c.b.assign(777, 1);

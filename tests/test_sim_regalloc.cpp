@@ -241,27 +241,4 @@ TEST_F(RegAllocTest, TraceDoesNotChangeCounts) {
   EXPECT_EQ(run(true), run(false));
 }
 
-TEST(RegAllocConfig, RejectsBadRegisterCounts) {
-  InstCounter c;
-  EXPECT_THROW(VRegFileModel(c, {.num_regs = 0, .reserve_v0 = true}),
-               std::invalid_argument);
-  EXPECT_THROW(VRegFileModel(c, {.num_regs = 30, .reserve_v0 = true}),
-               std::invalid_argument);
-}
-
-TEST(RegAllocConfig, WithoutV0ReservationThirtyTwoFit) {
-  InstCounter c;
-  VRegFileModel model(c, {.num_regs = 32, .reserve_v0 = false});
-  for (int i = 0; i < 32; ++i) {
-    model.begin_inst();
-    static_cast<void>(model.define(1));
-    model.end_inst();
-  }
-  EXPECT_EQ(model.spill_count(), 0u);
-  model.begin_inst();
-  static_cast<void>(model.define(1));
-  model.end_inst();
-  EXPECT_EQ(model.spill_count(), 1u);
-}
-
 }  // namespace

@@ -125,14 +125,6 @@ TEST(SnapshotFormat, WriteFileUnwritablePathTrapsCleanly) {
   if (f != nullptr) static_cast<void>(std::fclose(f));
 }
 
-TEST(SnapshotFormat, WrongVersionRejected) {
-  rvv::Machine m({.vlen_bits = 128});
-  snap::Blob blob = snap::save_machine(m);
-  blob[8] ^= 1;  // version low byte — also breaks the header CRC
-  rvv::Machine target({.vlen_bits = 128});
-  EXPECT_THROW(snap::restore_machine(target, blob), SnapshotTrap);
-}
-
 TEST(SnapshotFormat, TrailingBytesRejected) {
   rvv::Machine m({.vlen_bits = 128});
   snap::Blob blob = snap::save_machine(m);
@@ -383,7 +375,7 @@ TEST(SnapshotCorruption, HeaderPayloadBitFlipsOnWarmSnapshot) {
 // The sweeps above are caught by the section CRCs, which anyone producing a
 // snapshot file can recompute — so the field-range validation behind the
 // CRCs must hold on CRC-valid input too.  These helpers re-derive enough of
-// the version-1 layout (DESIGN.md §11) to patch one field and fix the CRC.
+// the version-2 layout (DESIGN.md §11) to patch one field and fix the CRC.
 
 u32 crc32_ieee(const std::uint8_t* data, std::size_t size) {
   u32 crc = 0xFFFFFFFFu;
@@ -444,7 +436,7 @@ void fix_section_crc(snap::Blob& blob, const SectionRef& ref) {
 std::size_t freelist_count_offset(const snap::Blob& blob,
                                   const SectionRef& sec) {
   std::size_t off = sec.payload;
-  off += 4 + 3;                         // VLEN + three config flags
+  off += 4 + 2;                         // VLEN + two config flags
   off += 4 + sim::kNumInstClasses * 8;  // counter ledger
   off += 4 + 4 + 8;                     // vsetvl memo
   const bool has_regfile = blob[off] != 0;
@@ -452,6 +444,40 @@ std::size_t freelist_count_offset(const snap::Blob& blob,
   if (has_regfile) off += 5 * 8 + 4;    // register-file telemetry
   off += 8 * 8;                         // buffer-pool stats
   return off;
+}
+
+/// Set the container's version field and re-seal the header CRC, so the
+/// version check alone decides.
+void set_version(snap::Blob& blob, u32 version) {
+  put_u32(blob, 8, version);
+  put_u32(blob, 20, crc32_ieee(blob.data(), 20));
+}
+
+TEST(SnapshotFormat, WrongVersionRejected) {
+  rvv::Machine m({.vlen_bits = 128});
+  snap::Blob blob = snap::save_machine(m);
+  blob[8] ^= 1;  // version low byte — also breaks the header CRC
+  rvv::Machine target({.vlen_bits = 128});
+  EXPECT_THROW(snap::restore_machine(target, blob), SnapshotTrap);
+
+  // A file written before the version bump, with an intact header CRC: the
+  // trap names both versions and the target keeps its counts.
+  rvv::Machine source({.vlen_bits = 128});
+  warm(source);
+  snap::Blob old = snap::save_machine(source);
+  set_version(old, 1);
+  warm(target);
+  const sim::CountSnapshot before = target.counter().snapshot();
+  const std::string want = "unsupported version 1 (this build reads version " +
+                           std::to_string(snap::kFormatVersion) + ")";
+  try {
+    snap::restore_machine(target, old);
+    ADD_FAILURE() << "version-1 snapshot was accepted";
+  } catch (const SnapshotTrap& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  expect_same_counts(target.counter().snapshot(), before,
+                     "target after version-1 restore");
 }
 
 TEST(SnapshotCorruption, CrcValidFreelistClassOutOfRangeRejected) {
