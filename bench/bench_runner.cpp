@@ -45,13 +45,15 @@ struct Workload {
         scratch(n) {}
 
   void run(const std::string& kernel) {
+    // LMUL is pinned, as each cell's label says: the tuned default would
+    // pick its own grouping per VLEN.
     if (kernel == "elementwise") {
-      svm::p_add<T>(std::span<T>(data), 1u);
+      svm::p_add<T, 1>(std::span<T>(data), 1u);
     } else if (kernel == "scan") {
-      svm::plus_scan<T>(std::span<T>(data));
+      svm::plus_scan<T, 1>(std::span<T>(data));
     } else if (kernel == "permute") {
-      svm::permute<T>(std::span<const T>(data), std::span<T>(scratch),
-                      std::span<const T>(index));
+      svm::permute<T, 1>(std::span<const T>(data), std::span<T>(scratch),
+                         std::span<const T>(index));
     } else if (kernel == "seg_scan_m8") {
       svm::seg_plus_scan<T, 8>(std::span<T>(data),
                                std::span<const T>(flags));

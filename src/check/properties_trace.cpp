@@ -3,7 +3,8 @@
 // invisible — bit-identical data AND per-class dynamic instruction counts —
 // relative to a cache-disabled machine, across every lifecycle phase:
 // record (pass 1), verify (pass 2), stable replay (pass 3+), invalidation
-// under reconfiguration, and a trap unwinding a half-consumed replay.
+// under reconfiguration, a trap unwinding a half-consumed replay, and a
+// fused body's guard sending a trapping block back to per-op replay.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -15,6 +16,8 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/radix_sort.hpp"
@@ -296,6 +299,97 @@ std::string check_trap_mid_replay(const Case& c) {
   });
 }
 
+/// Permute's fused scatter behind its index guard.  Three clean passes of a
+/// seeded random permutation take the cached machine through record, verify
+/// and fused replay; a fourth pass plants one out-of-range index at a seeded
+/// position.  The guard must send that block to per-op replay, where it
+/// traps exactly as the interpreter does — same faulting element and
+/// instruction number, same partial scatter, same counts — and the stable
+/// trace must survive the trap.
+std::string check_permute_guard(const Case& c) {
+  return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
+    using UI = std::make_unsigned_t<T>;
+    constexpr UI kBadIndex = std::numeric_limits<UI>::max();
+    const unsigned vlen = norm_vlen(c.vlen);
+    // Indices are read as unsigned T; below 2^SEW - 1 elements every index
+    // of the permutation fits and kBadIndex stays out of range.
+    const std::size_t n = std::min<std::size_t>(c.vl % (kMaxN + 1), kBadIndex);
+    if (n == 0) return "";
+    const std::vector<T> src = to_elems<T>(c.a, n);
+    Rng rng(c.scalar);
+    std::vector<T> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<T>(i);
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(perm[i - 1], perm[static_cast<std::size_t>(rng.below(i))]);
+    }
+    std::vector<T> bad = perm;
+    bad[static_cast<std::size_t>(rng.below(n))] = static_cast<T>(kBadIndex);
+    constexpr T kSentinel = static_cast<T>(0x5A);
+
+    struct Run {
+      std::string traps;
+      std::vector<T> data;
+      std::vector<sim::CountSnapshot> deltas;
+    };
+    auto script = [&](rvv::Machine& m) {
+      Run r;
+      rvv::MachineScope scope(m);
+      for (int pass = 0; pass < 4; ++pass) {
+        std::vector<T> dst(n, kSentinel);
+        const sim::CountSnapshot c0 = m.counter().snapshot();
+        r.traps += "pass " + std::to_string(pass) + ": ";
+        try {
+          svm::permute<T, L>(std::span<const T>(src), std::span<T>(dst),
+                             std::span<const T>(pass < 3 ? perm : bad));
+          r.traps += "none; ";
+        } catch (const MemoryAccessTrap& e) {
+          r.traps += "memory element " + std::to_string(e.element()) + " inst " +
+                     std::to_string(e.context().inst_number) + "; ";
+        } catch (const std::exception& e) {
+          r.traps += std::string("other: ") + e.what() + "; ";
+        }
+        r.deltas.push_back(m.counter().snapshot() - c0);
+        r.data.insert(r.data.end(), dst.begin(), dst.end());
+      }
+      return r;
+    };
+    rvv::Machine cached({.vlen_bits = vlen});
+    rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+    const Run got = script(cached);
+    const Run want = script(plain);
+    if (got.traps != want.traps) {
+      return "trace.permute: trap shape diverges (cached: " + got.traps +
+             "interpreted: " + want.traps + ")";
+    }
+    if (want.traps.find("pass 3: memory") == std::string::npos) {
+      return "trace.permute: planted index never trapped (" + want.traps + ")";
+    }
+    if (got.data != want.data) {
+      return "trace.permute: cached data diverges from interpreted data";
+    }
+    for (int pass = 0; pass < 4; ++pass) {
+      const auto k = static_cast<std::size_t>(pass);
+      if (std::string e = diff_counts("trace.permute", pass, got.deltas[k],
+                                      want.deltas[k]);
+          !e.empty()) {
+        return e;
+      }
+    }
+    if (cached.regfile()->spill_count() != plain.regfile()->spill_count() ||
+        cached.regfile()->reload_count() != plain.regfile()->reload_count()) {
+      return "trace.permute: register-file spill/reload stats diverge";
+    }
+    const auto& st = cached.exec_cache().stats();
+    if (st.trace_fused == 0) {
+      return "trace.permute: three clean passes never ran the fused scatter";
+    }
+    if (st.trace_poisons != 0) {
+      return "trace.permute: the planted index poisoned a trace";
+    }
+    return "";
+  });
+}
+
 }  // namespace
 
 std::vector<Property> make_trace_properties() {
@@ -308,6 +402,7 @@ std::vector<Property> make_trace_properties() {
   add("trace.invalidate", check_invalidate);
   add("trace.apps", check_apps);
   add("trace.trap_mid_replay", check_trap_mid_replay);
+  add("trace.permute", check_permute_guard);
   return props;
 }
 

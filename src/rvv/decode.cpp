@@ -282,6 +282,13 @@ void ExecTracer::finish_record() {
   scratch_.clear();
 }
 
+std::uint64_t ExecTracer::uncharged_prefix() const noexcept {
+  if (mode_ != Mode::kReplay) return 0;
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < cursor_; ++i) n += trace_->entries[i].delta.total();
+  return n;
+}
+
 void ExecTracer::charge_prefix() {
   sim::CountSnapshot prefix;
   std::uint64_t spill_events = 0;

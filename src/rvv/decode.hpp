@@ -388,6 +388,13 @@ class ExecTracer {
   /// op body normally.
   [[nodiscard]] bool take_bulk_replay();
 
+  /// Instructions the in-flight replay has consumed but not yet charged:
+  /// they land with the iteration's bulk charge, so until then the counter
+  /// reads short by this much.  0 when not replaying.  Trap contexts add it
+  /// so a trap mid-replay reports the interpreter's instruction number.
+  /// Cold (walks the consumed prefix); out of line in decode.cpp.
+  [[nodiscard]] std::uint64_t uncharged_prefix() const noexcept;
+
   /// The iteration unwound without committing (a trap inside the body).
   /// A replay charges exactly its consumed prefix — operand validation
   /// precedes every charge, so the prefix is precisely the ops that

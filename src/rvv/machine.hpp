@@ -170,11 +170,16 @@ class Machine {
   }
 
   /// Build the trap context for an instruction executing on this machine.
+  /// The instruction number counts the ops a per-op replay has consumed but
+  /// not yet charged, so it matches the interpreter's mid-iteration.
   [[nodiscard]] TrapContext trap_context(const char* op, std::size_t vl,
                                          unsigned lmul) const noexcept {
-    return TrapContext{op,        vl,
-                       lmul,      cfg_.vlen_bits,
-                       counter_.total(), current_hart()};
+    return TrapContext{op,
+                       vl,
+                       lmul,
+                       cfg_.vlen_bits,
+                       counter_.total() + tracer_.uncharged_prefix(),
+                       current_hart()};
   }
 
   /// Step 2 of the instruction protocol (validate, charge, allocate,

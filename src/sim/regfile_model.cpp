@@ -16,7 +16,11 @@ constexpr bool valid_lmul(unsigned lmul) noexcept {
 }  // namespace
 
 void VRegFileModel::trace_begin() {
-  trace_line_ = "#" + std::to_string(++inst_seq_);
+  // Built in place: GCC 12 at -O3 raises a -Wrestrict false positive on
+  // `"#" + std::to_string(...)`.
+  trace_line_.clear();
+  trace_line_.push_back('#');
+  trace_line_ += std::to_string(++inst_seq_);
 }
 
 void VRegFileModel::trace_end() {

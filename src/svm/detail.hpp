@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 
 #include "rvv/rvv.hpp"
@@ -10,17 +11,16 @@
 
 namespace rvvsvm::svm::detail {
 
-/// Trap context for a kernel input-contract violation, raised before any
-/// instruction is charged.  Best-effort: machine fields are filled from the
-/// active machine when one is scoped (kernels may validate before scoping).
+/// Trap context for a kernel input-contract violation.  Best-effort:
+/// machine fields are filled from the active machine when one is scoped
+/// (kernels may validate before scoping).
 [[nodiscard]] inline TrapContext input_context(const char* op) noexcept {
+  if (rvv::Machine* m = rvv::Machine::active_or_null()) {
+    return m->trap_context(op, /*vl=*/0, /*lmul=*/0);
+  }
   TrapContext ctx;
   ctx.op = op;
   ctx.hart = current_hart();
-  if (rvv::Machine* m = rvv::Machine::active_or_null()) {
-    ctx.vlen_bits = m->vlen_bits();
-    ctx.inst_number = m->counter().total();
-  }
   return ctx;
 }
 
@@ -28,6 +28,15 @@ namespace rvvsvm::svm::detail {
 /// std::invalid_argument, so existing catch sites keep working.
 [[noreturn]] inline void invalid_input(const char* op, const char* detail) {
   throw InvalidInputTrap(std::string(op) + ": " + detail, input_context(op));
+}
+
+/// True when the two spans share no element (std::less orders pointers into
+/// unrelated arrays too).
+template <class T>
+[[nodiscard]] bool disjoint(std::span<const T> a, std::span<const T> b) noexcept {
+  const std::less<const T*> before;
+  return !before(a.data(), b.data() + b.size()) ||
+         !before(b.data(), a.data() + a.size());
 }
 
 /// Runs `body(pos, vl)` over the blocks of an n-element array exactly the
@@ -65,6 +74,13 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body) {
   }
 }
 
+/// Default `fusable` guard of the fused stripmine: every iteration may fuse.
+struct AlwaysFusable {
+  constexpr bool operator()(std::size_t, std::size_t) const noexcept {
+    return true;
+  }
+};
+
 /// Fused-execution variant: once the iteration's trace is stable, the whole
 /// iteration is charged in bulk and `fused(pos, vl)` runs in place of
 /// `body(pos, vl)` — no per-op emulation at all, the trace-JIT idea applied
@@ -73,12 +89,20 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body) {
 ///   * `fused` writes bit-identical data to `body` for every (pos, vl) —
 ///     shape-deterministic bodies only (op sequence depends on vl, never on
 ///     element values); the fuzz oracle's trace layer enforces this;
-///   * `fused` cannot trap (all of `body`'s validation is shape-derived and
-///     the shape was validated when the trace recorded).
+///   * `fused` cannot trap when `fusable(pos, vl)` holds.  Bodies whose
+///     validation is purely shape-derived keep the always-true default (the
+///     shape was validated when the trace recorded); a body that can trap on
+///     element values (the permute scatter's index check) passes the exact
+///     condition its ops trap on.  `fusable` is evaluated before the bulk
+///     charge, so an iteration it rejects runs `body` under ordinary per-op
+///     replay and traps exactly as the interpreter does: the consumed prefix
+///     is charged and the trace stays stable.
 /// Recording, verification, divergence handling, and machines with the
 /// cache disabled (or a fault schedule armed) all run `body` unchanged.
-template <rvv::VectorElement T, unsigned LMUL, class Body, class Fused>
-void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused) {
+template <rvv::VectorElement T, unsigned LMUL, class Body, class Fused,
+          class Fusable = AlwaysFusable>
+void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
+               Fusable fusable = {}) {
   rvv::Machine& m = rvv::Machine::active();
   static const rvv::TraceSite site{"stripmine"};
   m.scalar().charge(sim::kKernelPrologue);
@@ -87,7 +111,7 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused) {
     const std::size_t vl = m.vsetvl<T>(n, LMUL);
     {
       rvv::TraceIteration trace(m, site, vl, rvv::kSewBits<T>, LMUL);
-      if (trace.replay_fused()) {
+      if (fusable(pos, vl) && trace.replay_fused()) {
         fused(pos, vl);
       } else {
         body(pos, vl);

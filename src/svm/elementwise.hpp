@@ -257,8 +257,12 @@ void p_select(std::span<const T> flags, std::span<const T> if_true, std::span<T>
         const T* pf = flags.data() + pos;
         const T* pt = if_true.data() + pos;
         T* pd = dst.data() + pos;
+        // Both operands load before the select, so the loop compiles to a
+        // blend instead of a branch on the (random) flags.
         for (std::size_t i = 0; i < vl; ++i) {
-          if (pf[i] != T{0}) pd[i] = pt[i];
+          const T t = pt[i];
+          const T d = pd[i];
+          pd[i] = pf[i] != T{0} ? t : d;
         }
       });
   }

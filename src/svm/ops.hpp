@@ -16,6 +16,9 @@ namespace rvvsvm::svm {
 /// flags[j] == set_bit; returns the total count of such positions.  The
 /// flags vector must contain only 0 and 1.  Maps to viota per block with the
 /// running count propagated through vcpop, exactly as the paper optimizes it.
+/// The fused body is that block as one pass: each output is the incoming
+/// count plus the matches before it (viota + vadd, wrapped in T), and the
+/// count then advances by the block's match count (vcpop).
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 std::size_t enumerate(std::span<const T> flags, std::span<T> dst, bool set_bit) {
   if constexpr (LMUL == kTunedLmul) {
@@ -34,26 +37,41 @@ std::size_t enumerate(std::span<const T> flags, std::span<T> dst, bool set_bit) 
   // The per-element offsets wrap in T (they feed T-wide destination indices),
   // but the returned total is a host-side count: for narrow T it must not
   // wrap at n >= 2^SEW (e.g. u8 flags with n == 256 and no set bits).
+  const T target = set_bit ? T{1} : T{0};
   T count{0};
   std::size_t total = 0;
-  detail::stripmine<T, LMUL>(flags.size(), /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto v = rvv::vle<T, LMUL>(flags.subspan(pos), vl);
-                               const auto mask =
-                                   rvv::vmseq(v, set_bit ? T{1} : T{0}, vl);
-                               v = rvv::viota<T, LMUL>(mask, vl);
-                               v = rvv::vadd(v, count, vl);
-                               rvv::vse(dst.subspan(pos), v, vl);
-                               const std::size_t pop = rvv::vcpop(mask, vl);
-                               count = rvv::detail::wrap_add(count, static_cast<T>(pop));
-                               total += pop;
-                               m.scalar().charge({.alu = 1});  // count += vcpop
-                             });
+  detail::stripmine<T, LMUL>(
+      flags.size(), /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
+        auto v = rvv::vle<T, LMUL>(flags.subspan(pos), vl);
+        const auto mask = rvv::vmseq(v, target, vl);
+        v = rvv::viota<T, LMUL>(mask, vl);
+        v = rvv::vadd(v, count, vl);
+        rvv::vse(dst.subspan(pos), v, vl);
+        const std::size_t pop = rvv::vcpop(mask, vl);
+        count = rvv::detail::wrap_add(count, static_cast<T>(pop));
+        total += pop;
+        m.scalar().charge({.alu = 1});  // count += vcpop
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        const T* pf = flags.data() + pos;
+        T* pd = dst.data() + pos;
+        std::size_t pop = 0;
+        for (std::size_t i = 0; i < vl; ++i) {
+          const bool match = pf[i] == target;  // read first: dst may be flags
+          pd[i] = rvv::detail::wrap_add(static_cast<T>(pop), count);
+          pop += match ? 1u : 0u;
+        }
+        count = rvv::detail::wrap_add(count, static_cast<T>(pop));
+        total += pop;
+      });
   return total;
   }
 }
 
 /// get_flags: flags[i] = bit `bit` of src[i] (the radix sort key probe).
+/// The fused body applies vsrl's and vand's lane semantics directly: a
+/// logical shift in Wide<T> by the SEW-masked amount, then the low bit.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void get_flags(std::span<const T> src, std::span<T> flags, unsigned bit) {
   if constexpr (LMUL == kTunedLmul) {
@@ -67,13 +85,23 @@ void get_flags(std::span<const T> src, std::span<T> flags, unsigned bit) {
     return;
   } else {
   if (flags.size() < src.size()) detail::invalid_input("get_flags", "flags too small");
-  detail::stripmine<T, LMUL>(src.size(), /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto v = rvv::vle<T, LMUL>(src.subspan(pos), vl);
-                               v = rvv::vsrl(v, static_cast<T>(bit), vl);
-                               v = rvv::vand(v, T{1}, vl);
-                               rvv::vse(flags.subspan(pos), v, vl);
-                             });
+  using W = rvv::detail::Wide<T>;
+  const unsigned shamt = rvv::detail::shamt(static_cast<T>(bit));
+  detail::stripmine<T, LMUL>(
+      src.size(), /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
+        auto v = rvv::vle<T, LMUL>(src.subspan(pos), vl);
+        v = rvv::vsrl(v, static_cast<T>(bit), vl);
+        v = rvv::vand(v, T{1}, vl);
+        rvv::vse(flags.subspan(pos), v, vl);
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        const T* ps = src.data() + pos;
+        T* pf = flags.data() + pos;
+        for (std::size_t i = 0; i < vl; ++i) {
+          pf[i] = static_cast<T>(static_cast<T>(static_cast<W>(ps[i]) >> shamt) & T{1});
+        }
+      });
   }
 }
 

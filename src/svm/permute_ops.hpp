@@ -7,9 +7,11 @@
 // vector unit cannot honor (paper section 4.2).
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "svm/detail.hpp"
 
@@ -19,6 +21,14 @@ namespace rvvsvm::svm {
 /// [0, n) for a full permute; duplicate indices follow the ISA's
 /// unordered-scatter semantics (last writer in element order wins in this
 /// emulator, as on in-order implementations).
+///
+/// The fused body is the scatter itself, in element order.  vsuxei traps on
+/// an index beyond dst, so the block fuses only when every index in it is in
+/// range — validated once per stable iteration, before the bulk charge; a
+/// block holding a bad index replays op by op and traps like the
+/// interpreter.  A dst overlapping src or index (an in-place permute the
+/// paper rules out) never fuses: the emulated block loads both operands
+/// before its store commits, and the fused loop would not.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void permute(std::span<const T> src, std::span<T> dst, std::span<const T> index) {
   if constexpr (LMUL == kTunedLmul) {
@@ -35,12 +45,31 @@ void permute(std::span<const T> src, std::span<T> dst, std::span<const T> index)
     return;
   } else {
   if (index.size() < src.size()) detail::invalid_input("permute", "index too short");
-  detail::stripmine<T, LMUL>(src.size(), /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto vs = rvv::vle<T, LMUL>(src.subspan(pos), vl);
-                               auto vi = rvv::vle<T, LMUL>(index.subspan(pos), vl);
-                               rvv::vsuxei(dst, vi, vs, vl);
-                             });
+  using UI = std::make_unsigned_t<T>;
+  const bool disjoint =
+      detail::disjoint<T>(dst, src) && detail::disjoint<T>(dst, index);
+  detail::stripmine<T, LMUL>(
+      src.size(), /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
+        auto vs = rvv::vle<T, LMUL>(src.subspan(pos), vl);
+        auto vi = rvv::vle<T, LMUL>(index.subspan(pos), vl);
+        rvv::vsuxei(dst, vi, vs, vl);
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        const T* ps = src.data() + pos;
+        const T* pi = index.data() + pos;
+        T* pd = dst.data();
+        for (std::size_t i = 0; i < vl; ++i) {
+          pd[static_cast<std::size_t>(static_cast<UI>(pi[i]))] = ps[i];
+        }
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        // vsuxei's index check for the whole block: its largest index.
+        const T* pi = index.data() + pos;
+        UI hi = 0;
+        for (std::size_t i = 0; i < vl; ++i) hi = std::max(hi, static_cast<UI>(pi[i]));
+        return disjoint && static_cast<std::size_t>(hi) < dst.size();
+      });
   }
 }
 

@@ -54,6 +54,12 @@ template <class Op, rvv::VectorElement T, unsigned LMUL>
 }  // namespace detail
 
 /// Inclusive segmented Op-scan, in place.  head_flags[i] must be 0 or 1.
+///
+/// The fused body replays a stable trace as the sequential segmented fold:
+/// `acc` restarts at every head and otherwise accumulates `acc ⊕ a[i]`,
+/// starting from the incoming carry.  That is bit-equal to the emulated
+/// block (the vmsbf carry mask applied over the Figure 4 tree) for the same
+/// associativity and two-sided-identity reasons as scan_inclusive's fold.
 template <class Op, rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void seg_scan_inclusive(std::span<T> data, std::span<const T> head_flags) {
   if constexpr (LMUL == kTunedLmul) {
@@ -75,7 +81,8 @@ void seg_scan_inclusive(std::span<T> data, std::span<const T> head_flags) {
   rvv::Machine& m = rvv::Machine::active();
   T carry = Op::template identity<T>();
   detail::stripmine<T, LMUL>(
-      data.size(), /*pointer_bumps=*/2, [&](std::size_t pos, std::size_t vl) {
+      data.size(), /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
         auto x = rvv::vle<T, LMUL>(data.subspan(pos), vl);
         auto flags = rvv::vle<T, LMUL>(head_flags.subspan(pos), vl);
         const auto heads = rvv::vmsne(flags, T{0}, vl);
@@ -86,6 +93,17 @@ void seg_scan_inclusive(std::span<T> data, std::span<const T> head_flags) {
         rvv::vse(data.subspan(pos), x, vl);
         carry = data[pos + vl - 1];  // Listing 10 line 33
         m.scalar().charge({.alu = 1, .load = 1});
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        T* p = data.data() + pos;
+        const T* ph = head_flags.data() + pos;
+        T acc = carry;
+        for (std::size_t i = 0; i < vl; ++i) {
+          const T folded = Op::template scalar<T>(acc, p[i]);
+          acc = ph[i] != T{0} ? p[i] : folded;
+          p[i] = acc;
+        }
+        carry = acc;
       });
   }
 }

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/fault_injection.hpp"
@@ -239,11 +241,13 @@ TEST(ExecCache, TrapMidReplayChargesExactPrefix) {
     add_one_kernel(std::span<const u32>(src), out.data(), kN);
     add_one_kernel(std::span<const u32>(src), out.data(), kN);
     std::fill(out.begin(), out.end(), 0u);
+    std::uint64_t trap_inst = 0;
     bool trapped = false;
     try {
       add_one_kernel(std::span<const u32>(src), out.data(), kN - 1);
-    } catch (const MemoryAccessTrap&) {
+    } catch (const MemoryAccessTrap& e) {
       trapped = true;
+      trap_inst = e.context().inst_number;
     }
     EXPECT_TRUE(trapped);
     // Recovery after the unwound iteration: the full kernel still runs.
@@ -256,12 +260,164 @@ TEST(ExecCache, TrapMidReplayChargesExactPrefix) {
       EXPECT_EQ(st.trace_poisons, 0u);
       EXPECT_EQ(st.trace_aborts, 0u);
     }
-    return std::pair{out, m.counter().snapshot()};
+    return std::tuple{out, m.counter().snapshot(), trap_inst};
+  };
+  const auto [data_cached, counts_cached, inst_cached] = run(true);
+  const auto [data_plain, counts_plain, inst_plain] = run(false);
+  EXPECT_EQ(data_cached, data_plain);
+  expect_same_counts(counts_cached, counts_plain, "trap mid-replay");
+  // The trap context counts the replayed load and add the iteration had
+  // consumed but not yet charged, as the interpreter had retired them.
+  EXPECT_EQ(inst_cached, inst_plain);
+}
+
+// --- fused bodies ----------------------------------------------------------
+
+/// Runs `kernel` three times — record and verify every shape, tail included —
+/// and returns how many strip-mine iterations the third call replayed and
+/// how many of those ran the fused body.  Nothing may record, abort or
+/// poison in the steady state.
+template <class Kernel>
+std::pair<u64, u64> steady_state_replays(rvv::Machine& m, Kernel kernel) {
+  kernel();
+  kernel();
+  const rvv::ExecCacheStats before = m.exec_cache().stats();
+  kernel();
+  const rvv::ExecCacheStats& after = m.exec_cache().stats();
+  EXPECT_EQ(after.trace_records, before.trace_records);
+  EXPECT_EQ(after.trace_aborts, 0u);
+  EXPECT_EQ(after.trace_poisons, 0u);
+  return {after.trace_replays - before.trace_replays,
+          after.trace_fused - before.trace_fused};
+}
+
+TEST(ExecCache, RadixSortAndSegScanKernelsRunFused) {
+  // VLEN 128, u32: VLMAX 4 at LMUL 1 and 32 at LMUL 8.  n = 1001 leaves a
+  // one-element tail, so every call runs two shapes.
+  constexpr std::size_t kN = 1001;
+  rvv::Machine m({.vlen_bits = 128});
+  rvv::MachineScope scope(m);
+  std::vector<u32> src = iota_data(kN);
+  std::vector<u32> flags(kN);
+  std::vector<u32> dst(kN);
+  std::vector<u32> index(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    flags[i] = static_cast<u32>(i % 3 == 0);
+    index[i] = static_cast<u32>(kN - 1 - i);
+  }
+  const auto expect_all_fused = [&](const char* what, std::size_t iterations,
+                                    auto kernel) {
+    const auto [replays, fused] = steady_state_replays(m, kernel);
+    EXPECT_EQ(replays, iterations) << what;
+    EXPECT_EQ(fused, iterations) << what << " fell back to per-op replay";
+  };
+  expect_all_fused("get_flags", 251, [&] {
+    svm::get_flags<u32, 1>(std::span<const u32>(src), std::span<u32>(flags), 2);
+  });
+  expect_all_fused("enumerate", 251, [&] {
+    (void)svm::enumerate<u32, 1>(std::span<const u32>(flags), std::span<u32>(dst),
+                                 true);
+  });
+  expect_all_fused("permute", 251, [&] {
+    svm::permute<u32, 1>(std::span<const u32>(src), std::span<u32>(dst),
+                         std::span<const u32>(index));
+  });
+  expect_all_fused("seg_plus_scan m8", 32, [&] {
+    svm::seg_plus_scan<u32, 8>(std::span<u32>(src), std::span<const u32>(flags));
+  });
+}
+
+TEST(ExecCache, PermuteGuardTrapsLikeTheInterpreter) {
+  // VLEN 128, u32, LMUL 1: VLMAX 4, so 16 blocks.  Index 37 (block 9,
+  // element 1) is planted out of range after the trace went stable: the
+  // guard must route that block to per-op replay, where vsuxei traps.
+  constexpr std::size_t kN = 64;
+  constexpr std::size_t kBad = 37;
+  const std::vector<u32> src = iota_data(kN);
+  std::vector<u32> index(kN);
+  for (std::size_t i = 0; i < kN; ++i) index[i] = static_cast<u32>((i * 5) % kN);
+  struct Result {
+    std::size_t element = 0;
+    std::uint64_t inst = 0;
+    std::vector<u32> dst;
+    sim::CountSnapshot counts;
+  };
+  const auto run = [&](rvv::Machine& m) {
+    rvv::MachineScope scope(m);
+    Result r;
+    r.dst.assign(kN, 0xA5A5A5A5u);
+    const auto permute = [&](std::span<const u32> idx) {
+      svm::permute<u32, 1>(std::span<const u32>(src), std::span<u32>(r.dst), idx);
+    };
+    permute(index);  // record, verify, then fused
+    permute(index);
+    std::fill(r.dst.begin(), r.dst.end(), 0xA5A5A5A5u);
+    std::vector<u32> bad = index;
+    bad[kBad] = static_cast<u32>(kN);
+    bool trapped = false;
+    try {
+      permute(bad);
+    } catch (const MemoryAccessTrap& e) {
+      trapped = true;
+      r.element = e.element();
+      r.inst = e.context().inst_number;
+    }
+    EXPECT_TRUE(trapped);
+    r.counts = m.counter().snapshot();
+    return r;
+  };
+  rvv::Machine cached({.vlen_bits = 128});
+  rvv::Machine plain({.vlen_bits = 128, .use_exec_cache = false});
+  const Result got = run(cached);
+  const Result want = run(plain);
+  EXPECT_EQ(got.element, kBad % 4);
+  EXPECT_EQ(got.element, want.element);
+  EXPECT_EQ(got.inst, want.inst);
+  EXPECT_EQ(got.dst, want.dst);  // blocks 0-8 scattered, nothing of block 9
+  expect_same_counts(got.counts, want.counts, "permute guard trap");
+
+  // The trap was the data's fault: the trace stays stable, and clean calls
+  // afterwards replay every block fused again.
+  const rvv::ExecCacheStats& st = cached.exec_cache().stats();
+  EXPECT_EQ(st.trace_poisons, 0u);
+  EXPECT_EQ(st.trace_aborts, 0u);
+  const rvv::ExecCacheStats before = st;
+  {
+    rvv::MachineScope scope(cached);
+    std::vector<u32> dst(kN);
+    svm::permute<u32, 1>(std::span<const u32>(src), std::span<u32>(dst),
+                         std::span<const u32>(index));
+  }
+  EXPECT_EQ(st.trace_replays - before.trace_replays, kN / 4);
+  EXPECT_EQ(st.trace_fused - before.trace_fused, kN / 4);
+  EXPECT_EQ(st.trace_fused, st.trace_replays);  // no per-op replay completed
+}
+
+TEST(ExecCache, InPlacePermuteKeepsPerOpReplay) {
+  // The paper's permutes are out of place, but nothing stops a caller from
+  // passing dst == src.  Swapping neighbours in place: the emulated block
+  // loads both elements before its scatter stores either, which a fused
+  // scatter would not, so the call must stay on per-op replay.
+  constexpr std::size_t kN = 64;
+  std::vector<u32> index(kN);
+  for (std::size_t i = 0; i < kN; ++i) index[i] = static_cast<u32>(i ^ 1u);
+  const auto run = [&](bool cache) {
+    rvv::Machine m({.vlen_bits = 128, .use_exec_cache = cache});
+    rvv::MachineScope scope(m);
+    std::vector<u32> a = iota_data(kN);
+    for (int pass = 0; pass < 3; ++pass) {
+      svm::permute<u32, 1>(std::span<const u32>(a), std::span<u32>(a),
+                           std::span<const u32>(index));
+    }
+    if (cache) {
+      EXPECT_EQ(m.exec_cache().stats().trace_fused, 0u);
+    }
+    return std::pair{a, m.counter().snapshot()};
   };
   const auto [data_cached, counts_cached] = run(true);
   const auto [data_plain, counts_plain] = run(false);
   EXPECT_EQ(data_cached, data_plain);
-  expect_same_counts(counts_cached, counts_plain, "trap mid-replay");
+  expect_same_counts(counts_cached, counts_plain, "in-place permute");
 }
 
 TEST(ExecCache, FaultHookDisengagesTracing) {
