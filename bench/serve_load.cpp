@@ -369,7 +369,9 @@ RunResult run_breaker(const Options& opt, unsigned harts) {
   const std::size_t total = std::min<std::size_t>(opt.requests, 400);
   r.requests = total;
   Rng rng(opt.seed * 31337u + harts);
-  FaultInjector inj({.trap_at_instruction = 2, .persistent = true});
+  // One injector per poisoned request: poisoned requests in one wave run on
+  // different harts, and an injector's counters are not synchronized.
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
 
   // Submit in bursts with a drain between them so breaker trips from one
   // burst shape admission in the next — the daemon steady state, serialized.
@@ -390,7 +392,9 @@ RunResult run_breaker(const Options& opt, unsigned harts) {
         req.kind = Kind::kScan;
         req.flags.clear();
         req.tenant = 9;
-        req.chaos_hook = &inj;
+        injectors.push_back(std::make_unique<FaultInjector>(
+            FaultInjector::Plan{.trap_at_instruction = 2, .persistent = true}));
+        req.chaos_hook = injectors.back().get();
         ++r.poisoned;
       } else {
         req = gen_request(rng, cfg.coalesce_threshold);

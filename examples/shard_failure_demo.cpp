@@ -35,8 +35,7 @@ void print_report(const rvvsvm::par::EpochReport& report) {
     std::cout << "    shard " << f.shard << " on hart " << f.hart << ": "
               << f.message << "\n      attempts=" << f.attempts
               << (f.recovered ? " recovered" : " UNRECOVERED")
-              << (f.inline_fallback ? " (inline fallback)" : "")
-              << (f.timed_out ? " (watchdog timeout)" : "");
+              << (f.inline_fallback ? " (inline fallback)" : "");
     if (f.has_context) {
       std::cout << " at " << rvvsvm::to_string(f.context);
     }

@@ -24,7 +24,8 @@
 // Dynamic instruction counts merge across harts (HartPool::merged_counts)
 // and are invariant under the hart count for a fixed shard size: shard
 // decomposition depends only on (n, shard_size), per-shard work only on the
-// shard, and the combine phase always runs on hart 0.
+// shard, and the combine phase is a one-shard epoch, which always runs on
+// hart 0.
 #pragma once
 
 #include <algorithm>
@@ -75,7 +76,7 @@ template <rvv::VectorElement T>
 }
 
 /// Hooks checkpointing a whole host-side staging vector (the cross-shard
-/// combine phases run as a single on_hart task, reported as shard 0).
+/// combine phases run as a one-shard epoch, which the pool puts on hart 0).
 template <rvv::VectorElement T>
 [[nodiscard]] RecoveryHooks checkpoint_whole(const HartPool& pool,
                                              std::span<T> data) {
@@ -173,8 +174,10 @@ void scan_inclusive(HartPool& pool, std::span<T> data) {
       detail::checkpoint_shards(pool, data, shards));
 
   // Combine phase pinned at LMUL=1: merged-count goldens depend on it.
-  pool.on_hart(0, [&] { svm::scan_exclusive<Op, T, 1>(std::span<T>(totals)); },
-               detail::checkpoint_whole(pool, std::span<T>(totals)));
+  pool.for_shards(
+      1,
+      [&](std::size_t) { svm::scan_exclusive<Op, T, 1>(std::span<T>(totals)); },
+      detail::checkpoint_whole(pool, std::span<T>(totals)));
 
   pool.for_shards(
       shards.size(),
@@ -217,8 +220,10 @@ void scan_exclusive(HartPool& pool, std::span<T> data) {
       },
       detail::checkpoint_shards(pool, data, shards));
 
-  pool.on_hart(0, [&] { svm::scan_exclusive<Op, T, 1>(std::span<T>(totals)); },
-               detail::checkpoint_whole(pool, std::span<T>(totals)));
+  pool.for_shards(
+      1,
+      [&](std::size_t) { svm::scan_exclusive<Op, T, 1>(std::span<T>(totals)); },
+      detail::checkpoint_whole(pool, std::span<T>(totals)));
 
   pool.for_shards(
       shards.size(),
@@ -256,7 +261,7 @@ template <class Op, rvv::VectorElement T, unsigned LMUL = svm::kTunedLmul>
   });
 
   T result = Op::template identity<T>();
-  pool.on_hart(0, [&] {
+  pool.for_shards(1, [&](std::size_t) {
     result = svm::reduce<Op, T, 1>(std::span<const T>(partials));
   });
   return result;
@@ -334,9 +339,9 @@ std::size_t split(HartPool& pool, std::span<const T> src, std::span<T> dst,
 
   T total_zeros{};
   // Combine phase pinned at LMUL=1 (hart-invariant merged counts).
-  pool.on_hart(
-      0,
-      [&] {
+  pool.for_shards(
+      1,
+      [&](std::size_t) {
         total_zeros = svm::reduce<svm::PlusOp, T, 1>(std::span<const T>(zeros));
         svm::plus_scan_exclusive<T, 1>(std::span<T>(zeros));  // zeros -> 0-bucket base
         svm::plus_scan_exclusive<T, 1>(std::span<T>(ones));
@@ -421,7 +426,7 @@ void split_radix_sort(HartPool& pool, std::span<T> data, unsigned key_bits) {
     static_cast<void>(split<T, LMUL>(pool, std::span<const T>(src), dst,
                                      std::span<const T>(flags)));
     std::swap(src, dst);
-    pool.on_hart(0, [&] {
+    pool.for_shards(1, [&](std::size_t) {
       rvv::Machine::active().scalar().charge({.alu = 3, .branch = 1});
     });
   }

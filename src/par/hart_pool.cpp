@@ -49,53 +49,47 @@ std::string summarize(const EpochReport& report) {
   return msg;
 }
 
+/// A deadline cancellation is deterministic for its budget: a retry or the
+/// inline fallback would burn the budget again only to re-cancel at the
+/// same wave boundary, so a cancelled shard is never re-run.
+[[nodiscard]] bool cancelled(const ShardFailure& fail) noexcept {
+  return fail.has_context && fail.trap_kind == sim::TrapKind::kDeadlineExceeded;
+}
+
 }  // namespace
 
 ShardExecutionError::ShardExecutionError(EpochReport report)
     : std::runtime_error(summarize(report)),
       report_(std::make_shared<const EpochReport>(std::move(report))) {}
 
-// One fork-join dispatch.  Held in a shared_ptr by the calling thread and by
-// every participating worker, and it owns *copies* of the body and hooks: a
-// hart abandoned by the watchdog may resume long after the collective
-// returned, and must find the epoch's machinery (not the caller's stack
-// frame) still alive.  All mutable fields are guarded by the pool mutex.
-struct EpochState {
-  std::uint64_t id = 0;
-  std::size_t num_shards = 0;
-  unsigned nslots = 0;
-  bool single_target = false;             // on_hart: one task, reported as shard 0
-  std::function<void(std::size_t)> body;  // copied — outlives the caller's frame
-  RecoveryHooks hooks;
-  std::vector<unsigned> slot_hart;        // slot -> hart id (live harts only)
-  unsigned remaining = 0;                 // slots still running
-  bool abandoned = false;                 // watchdog gave up on this epoch
-  std::vector<char> slot_done;
-  std::vector<std::size_t> slot_next;     // first shard a slot has NOT committed
-  std::vector<ShardFailure> failures;
-  sim::CountSnapshot abandoned_counts;
-
-  [[nodiscard]] ShardRange slot_range(unsigned slot) const noexcept {
-    return single_target ? ShardRange{0, 1}
-                         : shards_for_hart(num_shards, nslots, slot);
-  }
+// One fork-join dispatch.  Lives on the calling thread's stack and refers to
+// the caller's body and hooks: for_shards returns only after every
+// participating hart has finished, so they outlive every worker that reads
+// them.  Mutable fields are guarded by the pool mutex.
+struct Epoch {
+  const std::function<void(std::size_t)>& body;
+  const RecoveryHooks& hooks;
+  std::size_t num_shards;
+  unsigned nharts;         // harts [0, nharts) take part
+  unsigned remaining = 0;  // participants still running
+  std::vector<ShardFailure> failures{};
+  sim::CountSnapshot abandoned_counts{};
 };
 
 // Fork-join core: workers park on cv_start until a new epoch is posted, run
-// their slot's contiguous shard run with per-shard failure isolation, and
-// the last participant signals cv_done.  All published state (epoch, lost
-// set, per-hart machines, counters) is ordered by the mutex handshake, so
-// between jobs the calling thread may read machine counters race-free.
+// their contiguous shard run with per-shard failure isolation, and the last
+// participant signals cv_done.  All published state (epoch, per-hart
+// machines, counters) is ordered by the mutex handshake, so between jobs
+// the calling thread may read machine counters race-free.
 struct HartPool::Impl {
   Config cfg;
   mutable std::mutex mu;
   std::condition_variable cv_start;
   std::condition_variable cv_done;
   bool stop = false;
-  std::uint64_t next_epoch_id = 0;
-  std::shared_ptr<EpochState> current;
-  unsigned ready = 0;      // workers that finished construction
-  std::vector<char> lost;  // hart abandoned by the watchdog, awaiting rejoin
+  std::uint64_t next_epoch_id = 0;  // epochs posted so far
+  Epoch* current = nullptr;         // the posted epoch, null between jobs
+  unsigned ready = 0;               // workers that finished construction
   std::vector<std::unique_ptr<rvv::Machine>> machines;
   std::unique_ptr<rvv::Machine> rescue;  // lazily created for inline fallback
   std::vector<std::thread> workers;
@@ -103,10 +97,9 @@ struct HartPool::Impl {
   sim::CountSnapshot abandoned_total;
 
   void worker_main(unsigned hart);
-  void run_slot(EpochState& ep, unsigned slot, unsigned hart, rvv::Machine& m);
-  bool run_shard(EpochState& ep, rvv::Machine& m, unsigned hart, std::size_t s);
-  void post_and_wait(const std::shared_ptr<EpochState>& ep);
-  void finish_epoch(EpochState& ep);
+  void run_shard(Epoch& ep, rvv::Machine& m, unsigned hart, std::size_t s);
+  void post_and_wait(Epoch& ep);
+  void finish_epoch(Epoch& ep);
 };
 
 void HartPool::Impl::worker_main(unsigned hart) {
@@ -124,120 +117,88 @@ void HartPool::Impl::worker_main(unsigned hart) {
 
   std::uint64_t seen = 0;
   for (;;) {
-    std::shared_ptr<EpochState> ep;
-    unsigned slot = 0;
+    Epoch* ep = nullptr;
     {
       std::unique_lock lock(mu);
-      cv_start.wait(lock, [&] { return stop || (current && current->id != seen); });
+      cv_start.wait(lock, [&] { return stop || (current && next_epoch_id != seen); });
       if (stop) return;
+      seen = next_epoch_id;
+      // A non-participant must not touch the epoch again: its caller does
+      // not wait for this hart before the epoch goes out of scope.
+      if (hart >= current->nharts) continue;
       ep = current;
-      seen = ep->id;
-      unsigned found = ep->nslots;
-      for (unsigned i = 0; i < ep->nslots; ++i) {
-        if (ep->slot_hart[i] == hart) {
-          found = i;
-          break;
-        }
-      }
-      if (found == ep->nslots) continue;  // not participating this epoch
-      slot = found;
     }
 
+    const ShardRange mine = shards_for_hart(ep->num_shards, ep->nharts, hart);
+    std::size_t s = mine.begin;
     try {
       rvv::MachineScope scope(*m);
-      run_slot(*ep, slot, hart, *m);
+      for (; s < mine.end; ++s) run_shard(*ep, *m, hart, s);
     } catch (...) {
-      // run_slot catches per shard; anything escaping is a hook or pool
-      // defect — record it against the slot's first uncommitted shard.
+      // run_shard catches per shard; anything escaping is a pool defect —
+      // record it against the shard this hart was running.
       ShardFailure fail;
+      fail.shard = s;
       fail.hart = static_cast<int>(hart);
       describe_current_exception(fail);
       std::lock_guard lock(mu);
-      fail.shard = ep->slot_next[slot];
-      if (!ep->abandoned) ep->failures.push_back(std::move(fail));
+      ep->failures.push_back(std::move(fail));
     }
 
     {
       std::lock_guard lock(mu);
-      ep->slot_done[slot] = true;
       --ep->remaining;
-      // A hart declared lost rejoins the pool the moment its stuck job ends.
-      if (ep->abandoned) lost[hart] = false;
     }
     cv_done.notify_all();
   }
 }
 
-void HartPool::Impl::run_slot(EpochState& ep, unsigned slot, unsigned hart,
-                              rvv::Machine& m) {
-  const ShardRange mine = ep.slot_range(slot);
-  for (std::size_t s = mine.begin; s < mine.end; ++s) {
-    run_shard(ep, m, hart, s);  // failures are recorded inside
-    std::lock_guard lock(mu);
-    if (ep.abandoned) return;  // caller already re-issued the rest inline
-    ep.slot_next[slot] = s + 1;
-  }
-}
-
-// Executes shard `s` on this hart with the configured retry budget.
-// Returns true when the shard committed here.  Every failed attempt's
-// counts are rolled back off the hart's counter and ledgered as abandoned,
-// so merged totals only ever contain committed work.
-bool HartPool::Impl::run_shard(EpochState& ep, rvv::Machine& m, unsigned hart,
+// Executes shard `s` on this hart with the configured retry budget.  Every
+// failed attempt's counts are rolled back off the hart's counter and
+// ledgered as abandoned, so merged totals only ever contain committed work.
+void HartPool::Impl::run_shard(Epoch& ep, rvv::Machine& m, unsigned hart,
                                std::size_t s) {
-  const RecoveryPolicy& policy = cfg.recovery;
   ShardFailure fail;
   fail.shard = s;
   fail.hart = static_cast<int>(hart);
-  unsigned attempts = 0;
+  const auto record = [&] {
+    std::lock_guard lock(mu);
+    ep.failures.push_back(std::move(fail));
+  };
 
-  if (policy.armed() && ep.hooks.save) {
+  if (cfg.recovery.armed() && ep.hooks.save) {
     try {
       ep.hooks.save(s);
     } catch (...) {
       describe_current_exception(fail);
       fail.message.insert(0, "checkpoint save failed: ");
       fail.attempts = 1;
-      std::lock_guard lock(mu);
-      if (!ep.abandoned) ep.failures.push_back(std::move(fail));
-      return false;
+      record();
+      return;
     }
   }
 
-  for (;;) {
+  for (unsigned attempts = 1;; ++attempts) {
     const sim::CountSnapshot pre = m.counter().snapshot();
     try {
       ep.body(s);
     } catch (...) {
-      ++attempts;
       const sim::CountSnapshot wasted = m.counter().snapshot() - pre;
       m.counter().restore(pre);
       ShardFailure described;
       described.shard = fail.shard;
       described.hart = fail.hart;
       describe_current_exception(described);
-      // A deadline cancellation is deterministic for its budget: retrying
-      // would burn the budget again and re-cancel, so (unless the policy
-      // opts in) it exhausts the retry channel immediately.
-      const bool cancelled =
-          !policy.retry_cancelled && described.has_context &&
-          described.trap_kind == sim::TrapKind::kDeadlineExceeded;
-      if (attempts == 1 || cancelled) fail = std::move(described);
-      const bool give_up = cancelled || attempts > policy.max_retries;
+      const bool cancel = cancelled(described);
+      if (attempts == 1 || cancel) fail = std::move(described);
       {
         std::lock_guard lock(mu);
-        if (ep.abandoned) {
-          // The caller already reported this shard as timed out and owns
-          // its recovery; just ledger the wasted work at pool scope.
-          abandoned_total += wasted;
-          return false;
-        }
         ep.abandoned_counts += wasted;
-        if (give_up) {
-          fail.attempts = attempts;
-          ep.failures.push_back(std::move(fail));
-          return false;
-        }
+      }
+      if (cancel || attempts > cfg.recovery.max_retries) {
+        fail.attempts = attempts;
+        record();
+        return;
       }
       if (ep.hooks.restore) {
         try {
@@ -246,84 +207,42 @@ bool HartPool::Impl::run_shard(EpochState& ep, rvv::Machine& m, unsigned hart,
           describe_current_exception(fail);
           fail.message.insert(0, "checkpoint restore failed: ");
           fail.attempts = attempts;
-          std::lock_guard lock(mu);
-          if (!ep.abandoned) ep.failures.push_back(std::move(fail));
-          return false;
+          record();
+          return;
         }
       }
       continue;
     }
 
-    std::lock_guard lock(mu);
-    if (ep.abandoned) {
-      // Committed too late: the caller has re-issued this shard inline.
-      // Roll our duplicate work back out of the golden totals.
-      abandoned_total += m.counter().snapshot() - pre;
-      m.counter().restore(pre);
-      return false;
-    }
-    if (attempts > 0) {
-      fail.attempts = attempts + 1;
+    if (attempts > 1) {
+      fail.attempts = attempts;
       fail.recovered = true;
-      ep.failures.push_back(std::move(fail));
+      record();
     }
-    return true;
+    return;
   }
 }
 
-void HartPool::Impl::post_and_wait(const std::shared_ptr<EpochState>& ep) {
+void HartPool::Impl::post_and_wait(Epoch& ep) {
   std::unique_lock lock(mu);
-  ep->id = ++next_epoch_id;
-  current = ep;
+  ++next_epoch_id;
+  ep.remaining = ep.nharts;
+  current = &ep;
   cv_start.notify_all();
-  const auto timeout = cfg.recovery.watchdog;
-  if (timeout.count() > 0) {
-    if (!cv_done.wait_for(lock, timeout, [&] { return ep->remaining == 0; })) {
-      // Abandon the epoch: every slot still running is declared lost and
-      // its uncommitted shards are handed to the inline-recovery path.
-      // (A "hung" hart that is merely slow may still be mutating its
-      // current shard — RecoveryHooks::restore re-baselines it inline, and
-      // the hart rolls its late counts back when it finally returns.)
-      ep->abandoned = true;
-      for (unsigned slot = 0; slot < ep->nslots; ++slot) {
-        if (ep->slot_done[slot]) continue;
-        const unsigned hart = ep->slot_hart[slot];
-        lost[hart] = true;
-        const ShardRange range = ep->slot_range(slot);
-        for (std::size_t s = ep->slot_next[slot]; s < range.end; ++s) {
-          ShardFailure fail;
-          fail.shard = s;
-          fail.hart = static_cast<int>(hart);
-          fail.timed_out = true;
-          fail.message = "watchdog: hart unresponsive; shard abandoned";
-          ep->failures.push_back(std::move(fail));
-        }
-      }
-    }
-  } else {
-    cv_done.wait(lock, [&] { return ep->remaining == 0; });
-  }
+  cv_done.wait(lock, [&] { return ep.remaining == 0; });
+  current = nullptr;  // the epoch dies with the caller's frame
 }
 
 // Harvest the epoch, run the inline fallback over unrecovered shards, and
 // publish the report.  Throws ShardExecutionError when recovery fell short.
-void HartPool::Impl::finish_epoch(EpochState& ep) {
-  EpochReport report;
-  {
-    std::lock_guard lock(mu);
-    report.failures = std::move(ep.failures);
-    report.abandoned_counts = ep.abandoned_counts;
-  }
+// Every participant has finished, so the epoch is the caller's alone.
+void HartPool::Impl::finish_epoch(Epoch& ep) {
+  EpochReport report{.failures = std::move(ep.failures),
+                     .abandoned_counts = ep.abandoned_counts};
 
   if (cfg.recovery.fallback_inline) {
     for (auto& fail : report.failures) {
-      if (fail.recovered) continue;
-      // Cooperative cancellations skip the rescue machine too: the fallback
-      // would re-run the shard only to re-cancel at the same budget.
-      if (!cfg.recovery.retry_cancelled && fail.has_context &&
-          fail.trap_kind == sim::TrapKind::kDeadlineExceeded) {
-        continue;
-      }
+      if (fail.recovered || cancelled(fail)) continue;
       if (!rescue) rescue = std::make_unique<rvv::Machine>(cfg.machine);
       if (ep.hooks.restore) {
         try {
@@ -388,7 +307,6 @@ HartPool::HartPool(Config cfg) : impl_(new Impl) {
   }
 
   impl_->cfg = cfg;
-  impl_->lost.assign(cfg.harts, 0);
   impl_->machines.resize(cfg.harts);
   impl_->workers.reserve(cfg.harts);
   for (unsigned h = 0; h < cfg.harts; ++h) {
@@ -426,76 +344,13 @@ void HartPool::for_shards(std::size_t num_shards,
     impl_->last_report = EpochReport{};
     return;
   }
-  auto ep = std::make_shared<EpochState>();
-  ep->num_shards = num_shards;
-  ep->body = body;
-  ep->hooks = hooks;
-  {
-    std::lock_guard lock(impl_->mu);
-    for (unsigned h = 0; h < impl_->machines.size(); ++h) {
-      if (!impl_->lost[h]) ep->slot_hart.push_back(h);
-    }
-  }
-  // With no lost harts slot == hart, so the decomposition (and therefore
-  // every per-hart count) is identical to the pre-recovery engine.
-  if (ep->slot_hart.size() > num_shards) ep->slot_hart.resize(num_shards);
-  ep->nslots = static_cast<unsigned>(ep->slot_hart.size());
-  ep->remaining = ep->nslots;
-  ep->slot_done.assign(ep->nslots, 0);
-  ep->slot_next.resize(ep->nslots);
-  for (unsigned slot = 0; slot < ep->nslots; ++slot) {
-    ep->slot_next[slot] = ep->slot_range(slot).begin;
-  }
-
-  if (ep->nslots == 0) {
-    // Every hart is lost: report the whole job failed there and let the
-    // inline fallback (when enabled) carry it.
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardFailure fail;
-      fail.shard = s;
-      fail.timed_out = true;
-      fail.message = "no live harts";
-      ep->failures.push_back(std::move(fail));
-    }
-  } else {
-    impl_->post_and_wait(ep);
-  }
-  impl_->finish_epoch(*ep);
-}
-
-void HartPool::on_hart(unsigned hart, const std::function<void()>& body,
-                       const RecoveryHooks& hooks) {
-  if (hart >= harts()) {
-    TrapContext ctx;
-    ctx.op = "HartPool::on_hart";
-    ctx.hart = static_cast<int>(hart);
-    throw OperandTrap("HartPool::on_hart: bad hart", ctx);
-  }
-  auto ep = std::make_shared<EpochState>();
-  ep->num_shards = 1;
-  ep->single_target = true;
-  ep->body = [task = body](std::size_t) { task(); };
-  ep->hooks = hooks;
-  bool hart_lost;
-  {
-    std::lock_guard lock(impl_->mu);
-    hart_lost = impl_->lost[hart] != 0;
-  }
-  if (!hart_lost) {
-    ep->slot_hart.assign(1, hart);
-    ep->nslots = 1;
-    ep->remaining = 1;
-    ep->slot_done.assign(1, 0);
-    ep->slot_next.assign(1, 0);
-    impl_->post_and_wait(ep);
-  } else {
-    ShardFailure fail;
-    fail.hart = static_cast<int>(hart);
-    fail.timed_out = true;
-    fail.message = "target hart lost";
-    ep->failures.push_back(std::move(fail));
-  }
-  impl_->finish_epoch(*ep);
+  Epoch ep{.body = body,
+           .hooks = hooks,
+           .num_shards = num_shards,
+           .nharts = static_cast<unsigned>(
+               std::min<std::size_t>(harts(), num_shards))};
+  impl_->post_and_wait(ep);
+  impl_->finish_epoch(ep);
 }
 
 rvv::Machine& HartPool::machine(unsigned hart) {
@@ -512,31 +367,18 @@ const EpochReport& HartPool::last_report() const noexcept {
   return impl_->last_report;
 }
 
-unsigned HartPool::lost_harts() const {
-  std::lock_guard lock(impl_->mu);
-  unsigned n = 0;
-  for (const char l : impl_->lost) n += l != 0;
-  return n;
-}
-
 std::vector<sim::CountSnapshot> HartPool::per_hart_counts() const {
   std::lock_guard lock(impl_->mu);
   std::vector<sim::CountSnapshot> counts;
   counts.reserve(impl_->machines.size());
-  for (unsigned h = 0; h < impl_->machines.size(); ++h) {
-    counts.push_back(impl_->lost[h] ? sim::CountSnapshot{}
-                                    : impl_->machines[h]->counter().snapshot());
-  }
+  for (const auto& m : impl_->machines) counts.push_back(m->counter().snapshot());
   return counts;
 }
 
 sim::CountSnapshot HartPool::merged_counts() const {
   std::lock_guard lock(impl_->mu);
   sim::CountSnapshot sum;
-  for (unsigned h = 0; h < impl_->machines.size(); ++h) {
-    if (impl_->lost[h]) continue;  // a lost hart's counter is not readable
-    sum += impl_->machines[h]->counter().snapshot();
-  }
+  for (const auto& m : impl_->machines) sum += m->counter().snapshot();
   if (impl_->rescue) sum += impl_->rescue->counter().snapshot();
   return sum;
 }
@@ -571,9 +413,7 @@ void HartPool::restore_abandoned_counts(const sim::CountSnapshot& counts) noexce
 
 void HartPool::reset_counts() noexcept {
   std::lock_guard lock(impl_->mu);
-  for (unsigned h = 0; h < impl_->machines.size(); ++h) {
-    if (!impl_->lost[h]) impl_->machines[h]->reset_counts();
-  }
+  for (const auto& m : impl_->machines) m->reset_counts();
   if (impl_->rescue) impl_->rescue->reset_counts();
   impl_->abandoned_total = sim::CountSnapshot{};
 }

@@ -8,22 +8,22 @@
 //
 // Collectives dispatch fork-join jobs: for_shards runs a body over every
 // shard index (shards assigned to harts in contiguous, deterministic runs —
-// see partition.hpp) and blocks until all harts finish; on_hart runs a
-// combine phase on one designated hart.  The calling thread never touches a
-// hart's machine directly — it only reads counters between jobs, which the
+// see partition.hpp) and blocks until all harts finish.  A one-shard job
+// always runs on hart 0, which is how the cross-shard combine phases land
+// on a deterministic counter.  The calling thread never touches a hart's
+// machine directly — it only reads counters between jobs, which the
 // fork-join mutex handshake orders.
 //
 // Failure isolation (the robustness layer): every shard executes under a
 // per-shard catch.  A shard whose body throws is retried on its hart up to
 // RecoveryPolicy::max_retries times (the caller's RecoveryHooks restore any
 // in-place state first), then — if fallback_inline is set — re-executed on
-// the calling thread under a lazily created rescue machine.  Every failure,
-// recovered or not, lands in a structured ShardFailure inside the epoch's
-// EpochReport; if any shard remains unrecovered the whole report is thrown
-// as ShardExecutionError.  A watchdog (RecoveryPolicy::watchdog) bounds how
-// long the calling thread waits: on timeout the epoch is abandoned, hung
-// harts are marked lost (excluded from later jobs until they come back),
-// and their unfinished shards are recovered inline.
+// the calling thread under a lazily created rescue machine.  A cooperative
+// cancellation (DeadlineTrap) is never re-run: it would only re-cancel at
+// the same budget.  Every failure, recovered or not, lands in a structured
+// ShardFailure inside the epoch's EpochReport; if any shard remains
+// unrecovered the whole report is thrown as ShardExecutionError.  There is
+// no timeout: a body that never returns blocks its collective.
 //
 // Instruction accounting: every hart's counter accumulates independently and
 // merged_counts() sums them (plus the rescue machine).  Because shard
@@ -37,7 +37,6 @@
 // pool-lifetime abandoned_counts() — never folded into merged_counts().
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -52,9 +51,10 @@
 
 namespace rvvsvm::par {
 
-/// What the pool does when a shard body throws or a hart stops responding.
-/// The default policy is report-only: no retries, no fallback, no watchdog —
-/// every failure is collected and the epoch throws ShardExecutionError.
+/// What the pool does when a shard body throws.  The default policy is
+/// report-only: no retries, no fallback — every failure is collected and the
+/// epoch throws ShardExecutionError.  A shard cancelled by a deadline
+/// (sim::TrapKind::kDeadlineExceeded) skips both channels under any policy.
 struct RecoveryPolicy {
   /// Re-run a failed shard on its own hart up to this many times before
   /// declaring it failed there.  RecoveryHooks::restore runs before each
@@ -63,32 +63,18 @@ struct RecoveryPolicy {
   /// After the hart gives up, re-execute the shard on the calling thread
   /// under the pool's rescue machine (whose counts merge like a hart's).
   bool fallback_inline = false;
-  /// Longest the calling thread waits for an epoch; zero disables the
-  /// watchdog.  On expiry the epoch is abandoned: unresponsive harts are
-  /// marked lost and their unfinished shards recovered inline (when
-  /// fallback_inline is set).  A lost hart that eventually finishes rolls
-  /// its late work back off its counter and rejoins the pool.
-  std::chrono::milliseconds watchdog{0};
-  /// Re-run shards whose failure was a cooperative cancellation
-  /// (sim::TrapKind::kDeadlineExceeded).  Off by default: a deadline trap is
-  /// deterministic for a given budget, so a retry or inline fallback would
-  /// burn the whole budget again only to re-cancel at the same wave
-  /// boundary.  With the default, a cancelled shard skips retries and the
-  /// rescue machine and surfaces immediately as an unrecovered failure
-  /// (attempt counts and abandoned-ledger rollback unchanged).
-  bool retry_cancelled = false;
 
   /// True when any recovery channel is live — the signal for collectives to
   /// allocate checkpoint storage (RecoveryHooks) for their in-place phases.
   [[nodiscard]] constexpr bool armed() const noexcept {
-    return max_retries > 0 || fallback_inline || watchdog.count() > 0;
+    return max_retries > 0 || fallback_inline;
   }
 };
 
 /// Structured record of one shard's failure.  Present in the epoch report
 /// whether or not the shard was eventually recovered.
 struct ShardFailure {
-  /// Shard index within the collective (0 for on_hart tasks).
+  /// Shard index within the collective.
   std::size_t shard = 0;
   /// Hart that owned the shard when it first failed.
   int hart = -1;
@@ -98,8 +84,6 @@ struct ShardFailure {
   bool recovered = false;
   /// Recovery happened on the calling thread's rescue machine.
   bool inline_fallback = false;
-  /// The watchdog abandoned the hart while this shard was outstanding.
-  bool timed_out = false;
   /// what() of the first exception (with "; fallback: ..." appended when the
   /// inline re-execution failed too).
   std::string message;
@@ -129,9 +113,9 @@ struct EpochReport {
   }
 };
 
-/// Thrown by for_shards / on_hart when at least one shard could not be
-/// recovered under the pool's policy.  Carries the full epoch report;
-/// derives std::runtime_error so pre-trap catch sites keep working.
+/// Thrown by for_shards when at least one shard could not be recovered under
+/// the pool's policy.  Carries the full epoch report; derives
+/// std::runtime_error so pre-trap catch sites keep working.
 class ShardExecutionError : public std::runtime_error {
  public:
   explicit ShardExecutionError(EpochReport report);
@@ -145,9 +129,9 @@ class ShardExecutionError : public std::runtime_error {
 /// Per-shard checkpoint callbacks supplied by collectives whose shard body
 /// mutates state in place (and therefore cannot simply be re-run).  Only
 /// invoked while the pool's recovery policy is armed: `save` once before a
-/// shard's first attempt, `restore` before every re-attempt (retry, inline
-/// fallback, or watchdog re-issue).  Both run unlocked on the executing
-/// thread and must not touch any emulated machine.
+/// shard's first attempt, `restore` before every re-attempt (retry or
+/// inline fallback).  Both run unlocked on the executing thread and must not
+/// touch any emulated machine.
 struct RecoveryHooks {
   std::function<void(std::size_t shard)> save;
   std::function<void(std::size_t shard)> restore;
@@ -180,10 +164,11 @@ class HartPool {
   /// True when the configured recovery policy has any channel armed.
   [[nodiscard]] bool recovery_armed() const noexcept;
 
-  /// Fork-join over shard indices [0, num_shards): each live hart runs
-  /// body(shard) for its contiguous run of shards under its own
-  /// MachineScope, and the call returns when every hart is done.  Shard
-  /// failures are isolated, retried and recovered per the pool's
+  /// Fork-join over shard indices [0, num_shards): hart h takes part iff
+  /// h < min(harts, num_shards) and runs body(shard) for its contiguous run
+  /// of shards under its own MachineScope; the call returns when every
+  /// participant is done.  for_shards(1, ...) therefore runs on hart 0.
+  /// Shard failures are isolated, retried and recovered per the pool's
   /// RecoveryPolicy; if any shard stays unrecovered, the collected
   /// EpochReport is thrown as ShardExecutionError (a std::runtime_error).
   /// `hooks` checkpoint in-place shard state for re-execution.
@@ -191,30 +176,18 @@ class HartPool {
                   const std::function<void(std::size_t shard)>& body,
                   const RecoveryHooks& hooks = {});
 
-  /// Run one task on hart `hart`'s thread under its MachineScope — the
-  /// cross-shard combine phases of the two-level collectives run on hart 0
-  /// so their instructions land on a deterministic counter.  Failure
-  /// handling matches for_shards, with the task reported as shard 0.
-  void on_hart(unsigned hart, const std::function<void()>& body,
-               const RecoveryHooks& hooks = {});
-
   /// This hart's machine.  Only valid between jobs (the pool is idle
   /// whenever the public API is not executing), and only for inspection —
   /// driving kernels on it from the calling thread would trip the buffer
   /// pool's ownership assert.
   [[nodiscard]] rvv::Machine& machine(unsigned hart);
 
-  /// Failure report of the most recent for_shards / on_hart call (empty
-  /// `failures` after a clean epoch).  Valid between jobs.
+  /// Failure report of the most recent for_shards call (empty `failures`
+  /// after a clean epoch).  Valid between jobs.
   [[nodiscard]] const EpochReport& last_report() const noexcept;
 
-  /// Harts currently excluded from scheduling because the watchdog marked
-  /// them lost.  A lost hart rejoins automatically when its stuck job ends.
-  [[nodiscard]] unsigned lost_harts() const;
-
   /// Per-hart dynamic instruction counts since construction or the last
-  /// reset_counts().  A lost hart's slot reads as zero: its counter cannot
-  /// be read race-free until the hart rejoins.
+  /// reset_counts().
   [[nodiscard]] std::vector<sim::CountSnapshot> per_hart_counts() const;
 
   /// Sum of the per-hart counts plus the rescue machine — the whole-pool
@@ -227,9 +200,9 @@ class HartPool {
   /// other side of the merged_counts() ledger.  Zeroed by reset_counts().
   [[nodiscard]] sim::CountSnapshot abandoned_counts() const;
 
-  /// Fork-join epochs dispatched to the workers since construction
-  /// (for_shards and on_hart each count one; degenerate calls that never
-  /// reach a worker count zero).  Service telemetry reads this to relate
+  /// Fork-join epochs dispatched to the workers since construction (each
+  /// for_shards call counts one; a zero-shard call reaches no worker and
+  /// counts zero).  Service telemetry reads this to relate
   /// request throughput to pool dispatch pressure.
   [[nodiscard]] std::uint64_t epochs() const;
 
@@ -237,9 +210,8 @@ class HartPool {
   /// abandoned ledgers at construction, then reports deltas.  This is the
   /// billing primitive for layers that interleave many jobs on one pool —
   /// a service opens a lease, runs an execution wave, and reads exactly the
-  /// counts that wave committed.  Requires every hart live at both ends
-  /// (a lost hart's counter is unreadable, so deltas would under-report);
-  /// valid only between jobs, like every pool read.
+  /// counts that wave committed.  Valid only between jobs, like every pool
+  /// read.
   class Lease {
    public:
     /// Counts committed to the merged ledger since the lease opened.
@@ -247,7 +219,7 @@ class HartPool {
       return pool_->merged_counts() - base_merged_;
     }
     /// Rolled-back (executed but never committed) counts since the lease
-    /// opened — retry and abandonment waste, never billed to tenants.
+    /// opened — retry and cancellation waste, never billed to tenants.
     [[nodiscard]] sim::CountSnapshot abandoned() const {
       return pool_->abandoned_counts() - base_abandoned_;
     }
@@ -267,7 +239,7 @@ class HartPool {
   /// Open a count bracket at the current ledger position.
   [[nodiscard]] Lease lease() const { return Lease(*this); }
 
-  /// Zero every live hart's counter, the rescue machine's counter, and the
+  /// Zero every hart's counter, the rescue machine's counter, and the
   /// abandoned-count ledger.
   void reset_counts() noexcept;
 

@@ -90,7 +90,8 @@ struct Request {
   std::vector<Value> data;
   /// kCompress only: keep-flags, one per payload element (nonzero = keep).
   std::vector<Value> flags;
-  /// kHistogram only: number of bins; every key must be < bins.
+  /// kHistogram only: number of bins, in [1, 2^32]; every key must be
+  /// < bins.
   std::size_t bins = 0;
   /// Scheduling class (see Priority).  Orthogonal to the deadline: a
   /// background request may carry a deadline and an interactive one may not.
@@ -108,8 +109,9 @@ struct Request {
   std::uint64_t deadline_insts = 0;
   /// Test/bench-only fault channel: installed on the executing machine for
   /// exactly this request's attempts (never coalesced, so the blast radius
-  /// is one request).  Non-owning; must outlive the request.  Production
-  /// clients leave it null.
+  /// is one request).  Non-owning; must outlive the request.  Hooks keep
+  /// unsynchronized state, so requests that can run at the same time must
+  /// not share one.  Production clients leave it null.
   FaultHook* chaos_hook = nullptr;
 };
 

@@ -119,6 +119,10 @@ class PoolDeadlineGuard {
   return false;
 }
 
+/// Largest histogram bin count submit accepts: keys are Values, so no key
+/// reaches a bin at or past 2^32.
+constexpr std::uint64_t kMaxBins = std::uint64_t{1} << 32;
+
 /// Identity response for an empty payload: nothing executes, nothing bills.
 [[nodiscard]] Response empty_response(const Request& req) {
   Response resp;
@@ -183,9 +187,10 @@ std::future<Response> ScanService::submit(Request req) {
              req.flags.size() != req.data.size()) {
     reject = ErrorCode::kMalformed;
     detail = "compress: flags length must equal data length";
-  } else if (req.kind == Kind::kHistogram && req.bins == 0) {
+  } else if (req.kind == Kind::kHistogram &&
+             (req.bins == 0 || req.bins > kMaxBins)) {
     reject = ErrorCode::kMalformed;
-    detail = "histogram: bins must be non-zero";
+    detail = "histogram: bins must be in [1, 2^32]";
   } else if (billing_.would_exceed(req.tenant,
                                    estimate(req.kind, req.data.size()))) {
     reject = ErrorCode::kBudgetExceeded;
@@ -214,7 +219,7 @@ std::future<Response> ScanService::submit(Request req) {
   if (reject == ErrorCode::kOk && cfg_.admission_control &&
       req.deadline_insts > 0) {
     const std::uint64_t backlog =
-        queued_cost_.load(std::memory_order_relaxed) / cfg_.harts;
+        queued_cost_.load(std::memory_order_relaxed) / pool_.harts();
     if (predicted > req.deadline_insts ||
         backlog > req.deadline_insts - predicted) {
       reject = ErrorCode::kDeadlineUnmeetable;
@@ -477,7 +482,7 @@ void ScanService::run_wave(std::vector<Pending> wave) {
 void ScanService::update_vclock() {
   const std::uint64_t total =
       pool_.merged_counts().total() + pool_.abandoned_counts().total();
-  vclock_.store(total / cfg_.harts, std::memory_order_release);
+  vclock_.store(total / pool_.harts(), std::memory_order_release);
 }
 
 // Called at the tail of every wave, on the thread that owns the pool and

@@ -64,14 +64,13 @@ namespace rvvsvm::serve {
 class ScanService {
  public:
   struct Config {
-    /// Pool shape (see par::HartPool::Config).
+    /// Pool shape (see par::HartPool::Config; 0 harts selects the hardware
+    /// concurrency).
     unsigned harts = 4;
     std::size_t shard_size = 1u << 12;
     rvv::Machine::Config machine{};
     /// Self-healing policy for request execution.  The default retries once
     /// and falls back inline, so transient faults are absorbed invisibly.
-    /// The watchdog stays off: a lost hart's counter is unreadable, which
-    /// would break exact billing (see HartPool::merged_counts).
     par::RecoveryPolicy recovery{.max_retries = 1, .fallback_inline = true};
     /// Admission bound: submit rejects with kQueueFull beyond this depth.
     std::size_t queue_capacity = 1024;

@@ -6,17 +6,15 @@
 // ready-to-paste reproducer on any violation.  The other half is directed:
 // hart crashes at 2, 4 and 8 harts must degrade to the exact fault-free
 // result with the failure visible in the epoch report, retries and the
-// inline fallback must preserve merged counts to the instruction, and the
-// watchdog must cut an unresponsive hart loose without corrupting anything.
+// inline fallback must preserve merged counts to the instruction, and a
+// pool that absorbed faults must leak nothing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "check/fault_injection.hpp"
@@ -180,38 +178,6 @@ TEST(Chaos, RetryPreservesMergedCountsExactly) {
     EXPECT_EQ(fault_counts.count(cls), clean_counts.count(cls))
         << "merged " << sim::to_string(cls) << " drifted under retry";
   }
-}
-
-TEST(Chaos, WatchdogAbandonsHungHartAndRecoversInline) {
-  par::HartPool pool({.harts = 2,
-                      .shard_size = 16,
-                      .machine = {.vlen_bits = 256},
-                      .recovery = {.fallback_inline = true,
-                                   .watchdog = std::chrono::milliseconds(200)}});
-  std::atomic<bool> release{false};
-  std::atomic<int> inline_runs{0};
-  pool.for_shards(2, [&](std::size_t shard) {
-    if (shard == 1 && !release.exchange(true)) {
-      // Hang the owning hart well past the watchdog; it finishes eventually
-      // and must rejoin cleanly.
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-      return;
-    }
-    if (shard == 1) ++inline_runs;
-  });
-  const par::EpochReport& report = pool.last_report();
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_TRUE(report.failures[0].timed_out);
-  EXPECT_TRUE(report.failures[0].recovered);
-  EXPECT_TRUE(report.failures[0].inline_fallback);
-  EXPECT_EQ(inline_runs.load(), 1);
-  // Give the hung hart time to finish and rejoin, then require the pool to
-  // schedule across all harts again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  std::vector<std::atomic<int>> hits(4);
-  pool.for_shards(4, [&](std::size_t shard) { ++hits[shard]; });
-  for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(hits[s].load(), 1);
-  EXPECT_EQ(pool.lost_harts(), 0u);
 }
 
 TEST(Chaos, ChaosSuiteLeavesPoolsLeakFree) {

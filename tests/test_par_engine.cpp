@@ -97,6 +97,50 @@ TEST(HartPool, PropagatesExceptions) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+TEST(HartPool, OneShardRunsOnHartZero) {
+  // The collectives' combine phases are one-shard epochs; their counts land
+  // on hart 0 whatever the pool size.
+  for (const unsigned harts : {1u, 2u, 4u}) {
+    par::HartPool pool({.harts = harts, .shard_size = 64});
+    const rvv::Machine* ran_on = nullptr;
+    pool.for_shards(1, [&](std::size_t) { ran_on = &rvv::Machine::active(); });
+    EXPECT_EQ(ran_on, &pool.machine(0)) << harts << " harts";
+  }
+}
+
+TEST(HartPool, DeadlineTrapIsNeverRetriedOrRescued) {
+  par::HartPool pool({.harts = 2,
+                      .shard_size = 64,
+                      .machine = {.vlen_bits = 256},
+                      .recovery = {.max_retries = 2, .fallback_inline = true}});
+  const auto cancelling_body = [](std::size_t) {
+    rvv::Machine& m = rvv::Machine::active();
+    struct Disarm {
+      rvv::Machine& m;
+      ~Disarm() { m.clear_instruction_deadline(); }
+    } disarm{m};
+    m.set_instruction_deadline(m.counter().total() + 1);
+    auto data = random_u32(4096, 5);
+    svm::plus_scan<T, 1>(std::span<T>(data));
+  };
+  EXPECT_THROW(pool.for_shards(1, cancelling_body), par::ShardExecutionError);
+
+  const par::EpochReport& report = pool.last_report();
+  ASSERT_EQ(report.failures.size(), 1u);
+  const par::ShardFailure& fail = report.failures[0];
+  ASSERT_TRUE(fail.has_context);
+  EXPECT_EQ(fail.trap_kind, sim::TrapKind::kDeadlineExceeded);
+  EXPECT_EQ(fail.attempts, 1u);
+  EXPECT_FALSE(fail.recovered);
+  EXPECT_FALSE(fail.inline_fallback);
+  EXPECT_EQ(pool.rescue_machine(), nullptr);
+  EXPECT_EQ(pool.machine(0).instruction_deadline(), 0u);
+  // The cancelled attempt rolled back: its work is abandoned, not merged.
+  EXPECT_EQ(pool.merged_counts().total(), 0u);
+  EXPECT_GT(pool.abandoned_counts().total(), 0u);
+  EXPECT_EQ(pool.abandoned_counts(), report.abandoned_counts);
+}
+
 TEST(HartPool, RejectsBadConfig) {
   EXPECT_THROW(par::HartPool({.harts = 1, .shard_size = 0}),
                std::invalid_argument);

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -147,7 +148,26 @@ TEST(ServeAdmission, MalformedShapesRejected) {
   Request bad_bins = make_request(Kind::kHistogram, iota_values(8));
   bad_bins.bins = 0;
   EXPECT_EQ(svc.call(std::move(bad_bins)).error, ErrorCode::kMalformed);
+
+  // Keys are 32-bit, so no bin count past 2^32 is valid; an empty payload
+  // would otherwise reach the identity response's bin allocation.
+  Request huge_bins = make_request(Kind::kHistogram, {});
+  huge_bins.bins = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(svc.call(std::move(huge_bins)).error, ErrorCode::kMalformed);
   EXPECT_EQ(svc.billing().grand_total().total(), 0u);
+}
+
+TEST(ServeAdmission, ZeroHartsTakesThePoolShape) {
+  // harts = 0 selects the hardware concurrency in the pool; the service's
+  // virtual clock and deadline gate must divide by the resolved count.
+  ScanService svc(foreground_config(0));
+  ASSERT_GT(svc.pool().harts(), 0u);
+  EXPECT_TRUE(svc.call(make_request(Kind::kScan, iota_values(256))).ok());
+  Request timed = make_request(Kind::kScan, iota_values(256));
+  timed.deadline_insts = 1u << 30;
+  EXPECT_TRUE(svc.call(std::move(timed)).ok());
+  EXPECT_GT(svc.virtual_now(), 0u);
+  EXPECT_EQ(svc.billing().grand_total(), svc.pool().merged_counts());
 }
 
 TEST(ServeAdmission, QueueOverflowRejectsExactlyTheExcess) {

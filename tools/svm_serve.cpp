@@ -28,6 +28,7 @@
 // [data=...]` on success, `err code=<mnemonic> detail=<message>` on
 // failure.  Exit status 0 on clean quit/EOF, 2 on usage errors.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -35,6 +36,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -91,35 +93,34 @@ void usage(std::ostream& os) {
   return true;
 }
 
-[[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  out = value;
-  return true;
+/// A whole token of decimal digits whose value fits in T; false on a sign,
+/// a stray character or overflow.
+template <class T>
+[[nodiscard]] bool parse_uint(std::string_view s, T& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 [[nodiscard]] bool read_values(std::istringstream& in, std::vector<Value>& out,
                                std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = 0;
+    Value v = 0;
     std::string tok;
-    if (!(in >> tok) || !parse_u64(tok, v)) return false;
-    out.push_back(static_cast<Value>(v));
+    if (!(in >> tok) || !parse_uint(tok, v)) return false;
+    out.push_back(v);
   }
   return true;
 }
 
-/// Drain the rest of the line as Values; false on a non-numeric token.
+/// Drain the rest of the line as Values; false on a token that is not a
+/// Value.
 [[nodiscard]] bool read_rest(std::istringstream& in, std::vector<Value>& out) {
   std::string tok;
   while (in >> tok) {
-    std::uint64_t v = 0;
-    if (!parse_u64(tok, v)) return false;
-    out.push_back(static_cast<Value>(v));
+    Value v = 0;
+    if (!parse_uint(tok, v)) return false;
+    out.push_back(v);
   }
   return true;
 }
@@ -211,7 +212,7 @@ int run_session(std::istream& in, std::ostream& out, ScanService& svc,
       std::uint64_t tenant = 0;
       std::uint64_t max = 0;
       if (!(tokens >> tenant_tok >> max_tok) ||
-          !parse_u64(tenant_tok, tenant) || !parse_u64(max_tok, max)) {
+          !parse_uint(tenant_tok, tenant) || !parse_uint(max_tok, max)) {
         out << "err code=malformed detail=budget needs <tenant> <max>\n";
         continue;
       }
@@ -235,7 +236,7 @@ int run_session(std::istream& in, std::ostream& out, ScanService& svc,
       const std::string_view val =
           std::string_view(tenant_tok).substr(eq + 1);
       std::uint64_t n = 0;
-      if (key == "deadline" && parse_u64(val, n)) {
+      if (key == "deadline" && parse_uint(val, n)) {
         req.deadline_insts = n;
       } else if (key == "priority" && parse_priority(val, req.priority)) {
         // parsed in place
@@ -245,7 +246,7 @@ int run_session(std::istream& in, std::ostream& out, ScanService& svc,
       }
     }
     std::uint64_t tenant = 0;
-    if (!options_ok || !parse_u64(tenant_tok, tenant)) {
+    if (!options_ok || !parse_uint(tenant_tok, tenant)) {
       out << "err code=malformed detail=bad option or missing tenant id\n";
       continue;
     }
@@ -267,14 +268,14 @@ int run_session(std::istream& in, std::ostream& out, ScanService& svc,
       req.kind = Kind::kCompress;
       std::uint64_t n = 0;
       std::string n_tok;
-      parsed = (tokens >> n_tok) && parse_u64(n_tok, n) &&
+      parsed = (tokens >> n_tok) && parse_uint(n_tok, n) &&
                read_values(tokens, req.data, n) &&
                read_values(tokens, req.flags, n);
     } else if (cmd == "histogram") {
       req.kind = Kind::kHistogram;
       std::uint64_t bins = 0;
       std::string bins_tok;
-      parsed = (tokens >> bins_tok) && parse_u64(bins_tok, bins) &&
+      parsed = (tokens >> bins_tok) && parse_uint(bins_tok, bins) &&
                read_rest(tokens, req.data);
       req.bins = bins;
     } else {
@@ -311,16 +312,16 @@ int main(int argc, char** argv) {
     };
     std::uint64_t v = 0;
     if (arg == "--harts") {
-      if (!parse_u64(value(), v) || v == 0) return 2;
+      if (!parse_uint(value(), v) || v == 0) return 2;
       cfg.harts = static_cast<unsigned>(v);
     } else if (arg == "--vlen") {
-      if (!parse_u64(value(), v) || v == 0) return 2;
+      if (!parse_uint(value(), v) || v == 0) return 2;
       cfg.machine.vlen_bits = static_cast<unsigned>(v);
     } else if (arg == "--queue") {
-      if (!parse_u64(value(), v) || v == 0) return 2;
+      if (!parse_uint(value(), v) || v == 0) return 2;
       cfg.queue_capacity = v;
     } else if (arg == "--threshold") {
-      if (!parse_u64(value(), v) || v == 0) return 2;
+      if (!parse_uint(value(), v) || v == 0) return 2;
       cfg.coalesce_threshold = v;
     } else if (arg == "--budget") {
       const std::string_view spec = value();
@@ -328,8 +329,8 @@ int main(int argc, char** argv) {
       std::uint64_t tenant = 0;
       std::uint64_t max = 0;
       if (colon == std::string_view::npos ||
-          !parse_u64(spec.substr(0, colon), tenant) ||
-          !parse_u64(spec.substr(colon + 1), max)) {
+          !parse_uint(spec.substr(0, colon), tenant) ||
+          !parse_uint(spec.substr(colon + 1), max)) {
         std::cerr << "svm_serve: bad --budget, want TENANT:MAX\n";
         return 2;
       }
@@ -339,10 +340,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot") {
       snapshot_path = std::string(value());
     } else if (arg == "--checkpoint-every") {
-      if (!parse_u64(value(), v) || v == 0) return 2;
+      if (!parse_uint(value(), v) || v == 0) return 2;
       cfg.checkpoint_every_waves = v;
     } else if (arg == "--deadline") {
-      if (!parse_u64(value(), defaults.deadline_insts)) return 2;
+      if (!parse_uint(value(), defaults.deadline_insts)) return 2;
     } else if (arg == "--priority") {
       if (!parse_priority(value(), defaults.priority)) {
         std::cerr << "svm_serve: bad --priority, want "
@@ -355,8 +356,8 @@ int main(int argc, char** argv) {
       std::uint64_t threshold = 0;
       std::uint64_t cooldown = 0;
       if (colon == std::string_view::npos ||
-          !parse_u64(spec.substr(0, colon), threshold) || threshold == 0 ||
-          !parse_u64(spec.substr(colon + 1), cooldown)) {
+          !parse_uint(spec.substr(0, colon), threshold) || threshold == 0 ||
+          !parse_uint(spec.substr(colon + 1), cooldown)) {
         std::cerr << "svm_serve: bad --breaker, want THRESHOLD:COOLDOWN\n";
         return 2;
       }
