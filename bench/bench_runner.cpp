@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "apps/radix_sort.hpp"
 #include "bench/common.hpp"
 #include "par/par.hpp"
 #include "rvv/machine.hpp"
@@ -268,7 +269,61 @@ struct ParallelWorkload {
       throw std::logic_error("bench_runner: unknown parallel kernel " + kernel);
     }
   }
+
+  /// The same kernel as one direct svm:: call on the active machine: what
+  /// the pool has to beat, with no fork-join epoch to pay.
+  void run_one_machine(const std::string& kernel) {
+    if (kernel == "scan") {
+      svm::plus_scan<T>(std::span<T>(data));
+    } else if (kernel == "scan_exclusive") {
+      svm::plus_scan_exclusive<T>(std::span<T>(data));
+    } else if (kernel == "reduce") {
+      static_cast<void>(svm::reduce<svm::PlusOp, T>(std::span<const T>(data)));
+    } else if (kernel == "split") {
+      static_cast<void>(svm::split<T>(std::span<const T>(data),
+                                      std::span<T>(scratch),
+                                      std::span<const T>(flags)));
+    } else if (kernel == "radix_sort8") {
+      // apps::split_radix_sort's passes over the same 8 key bits.
+      apps::detail::radix_sort_passes<T, svm::kTunedLmul>(std::span<T>(data), 8);
+    } else {
+      throw std::logic_error("bench_runner: unknown parallel kernel " + kernel);
+    }
+  }
 };
+
+/// Repeats `pass` for at least `min_seconds`; returns seconds per pass.
+template <class Pass>
+double seconds_per_pass(double min_seconds, Pass pass) {
+  std::size_t passes = 0;
+  const auto t0 = Clock::now();
+  double elapsed = 0.0;
+  do {
+    pass();
+    ++passes;
+    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+  } while (elapsed < min_seconds);
+  return elapsed / static_cast<double>(passes);
+}
+
+/// Elements/sec of `kernel` as direct svm:: calls on one warm machine.
+double one_machine_elems_per_sec(const std::string& kernel, unsigned vlen,
+                                 const ParallelSweepOptions& opt) {
+  ParallelWorkload work(opt.n);
+  rvv::Machine machine({.vlen_bits = vlen});
+  rvv::MachineScope scope(machine);
+  work.run_one_machine(kernel);  // warm-up: tuner winners and traces
+  return static_cast<double>(opt.n) /
+         seconds_per_pass(opt.min_seconds, [&] { work.run_one_machine(kernel); });
+}
+
+/// Elements/sec of the cell over one machine running the same kernel as
+/// direct svm:: calls; 0 when that baseline is missing.
+double one_machine_speedup(const ParallelResult& r) {
+  return r.one_machine_elems_per_sec == 0.0
+             ? 0.0
+             : r.elems_per_sec / r.one_machine_elems_per_sec;
+}
 
 ParallelResult run_parallel_cell(const std::string& kernel, unsigned vlen,
                                  unsigned harts, const ParallelSweepOptions& opt) {
@@ -296,16 +351,8 @@ ParallelResult run_parallel_cell(const std::string& kernel, unsigned vlen,
   r.merged_instructions =
       sim::merge_counts(per_hart.data(), per_hart.size()).total();
 
-  std::size_t passes = 0;
-  const auto t0 = Clock::now();
-  double elapsed = 0.0;
-  do {
-    work.run(pool, kernel);
-    ++passes;
-    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-  } while (elapsed < opt.min_seconds);
-
-  r.seconds_per_pass = elapsed / static_cast<double>(passes);
+  r.seconds_per_pass =
+      seconds_per_pass(opt.min_seconds, [&] { work.run(pool, kernel); });
   r.elems_per_sec = static_cast<double>(opt.n) / r.seconds_per_pass;
   return r;
 }
@@ -318,8 +365,10 @@ std::vector<ParallelResult> run_parallel_sweep(const ParallelSweepOptions& opt) 
   std::vector<ParallelResult> results;
   for (const char* kernel : kKernels) {
     for (const unsigned vlen : opt.vlens) {
+      const double one_machine = one_machine_elems_per_sec(kernel, vlen, opt);
       for (const unsigned harts : opt.hart_counts) {
         results.push_back(run_parallel_cell(kernel, vlen, harts, opt));
+        results.back().one_machine_elems_per_sec = one_machine;
       }
     }
   }
@@ -360,6 +409,8 @@ void write_parallel_json(const std::vector<ParallelResult>& results,
         << ", \"n\": " << r.n
         << ", \"seconds_per_pass\": " << json_number(r.seconds_per_pass)
         << ", \"elems_per_sec\": " << json_number(r.elems_per_sec)
+        << ", \"one_machine_elems_per_sec\": "
+        << json_number(r.one_machine_elems_per_sec)
         << ", \"merged_instructions\": " << r.merged_instructions
         << ", \"per_hart_instructions\": [";
     for (std::size_t h = 0; h < r.per_hart_instructions.size(); ++h) {
@@ -382,6 +433,14 @@ void write_parallel_json(const std::vector<ParallelResult>& results,
     out << "    \"" << keys[i] << "\": " << json_number(values[i])
         << (i + 1 < keys.size() ? "," : "") << "\n";
   }
+  out << "  },\n"
+      << "  \"speedup_vs_one_machine\": {\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    out << "    \"" << r.kernel << "@vlen" << r.vlen << "@harts" << r.harts
+        << "\": " << json_number(one_machine_speedup(r))
+        << (i + 1 < results.size() ? "," : "") << "\n";
+  }
   out << "  }\n}\n";
 }
 
@@ -389,14 +448,16 @@ void print_parallel_summary(const std::vector<ParallelResult>& results) {
   std::cout << std::left << std::setw(16) << "kernel" << std::right
             << std::setw(6) << "vlen" << std::setw(7) << "harts"
             << std::setw(12) << "shard" << std::setw(16) << "Melems/s"
-            << std::setw(14) << "merged insts" << std::setw(10) << "vs 1" << '\n';
+            << std::setw(14) << "merged insts" << std::setw(10) << "vs 1"
+            << std::setw(12) << "vs 1 mach" << '\n';
   for (const auto& r : results) {
     std::cout << std::left << std::setw(16) << r.kernel << std::right
               << std::setw(6) << r.vlen << std::setw(7) << r.harts
               << std::setw(12) << r.shard_size << std::setw(16) << std::fixed
               << std::setprecision(3) << r.elems_per_sec / 1e6 << std::setw(14)
               << r.merged_instructions << std::setw(9) << std::setprecision(2)
-              << parallel_speedup(results, r.kernel, r.vlen, r.harts) << "x\n";
+              << parallel_speedup(results, r.kernel, r.vlen, r.harts) << "x"
+              << std::setw(11) << one_machine_speedup(r) << "x\n";
   }
 }
 

@@ -99,6 +99,9 @@ struct ParallelResult {
   std::size_t n = 0;
   double seconds_per_pass = 0.0;
   double elems_per_sec = 0.0;
+  /// The same kernel as direct svm:: calls on one warm machine (no pool, no
+  /// fork-join epochs); one value per (kernel, VLEN).
+  double one_machine_elems_per_sec = 0.0;
   std::uint64_t merged_instructions = 0;  ///< summed over harts, per pass
   std::vector<std::uint64_t> per_hart_instructions;  ///< per pass, hart order
 };

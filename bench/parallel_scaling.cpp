@@ -3,11 +3,14 @@
 // Measures emulated elements/sec of the two-level collectives — scan,
 // reduce, split, bounded-key radix sort — as the hart count grows at a fixed
 // shard size, for each VLEN, and writes the machine-readable
-// BENCH_parallel.json (schema_version 2: per-cell hart/shard metadata plus
-// per-hart and merged dynamic instruction counts).  The merged counts must
-// be identical down every hart-count column: the engine's determinism
-// invariant, checked here after the sweep so a broken invariant fails the
-// bench run, not just the unit tests.
+// BENCH_parallel.json (per-cell hart/shard metadata plus per-hart and merged
+// dynamic instruction counts).  Two speedups per cell: speedup_vs_1_hart
+// divides by the 1-hart pool, which pays the same fork-join epochs;
+// speedup_vs_one_machine divides by the same kernel as direct svm:: calls
+// on one warm machine, which pays none — below 1 the pool loses.  The
+// merged counts must be identical down every hart-count column: the
+// engine's determinism invariant, checked here after the sweep so a broken
+// invariant fails the bench run, not just the unit tests.
 //
 // Usage: parallel_scaling [--json FILE] [--n N] [--shard S] [--harts A,B,..]
 //                         [--smoke]

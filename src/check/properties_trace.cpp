@@ -3,8 +3,9 @@
 // invisible — bit-identical data AND per-class dynamic instruction counts —
 // relative to a cache-disabled machine, across every lifecycle phase:
 // record (pass 1), verify (pass 2), stable replay (pass 3+), invalidation
-// under reconfiguration, a trap unwinding a half-consumed replay, and a
-// fused body's guard sending a trapping block back to per-op replay.
+// under reconfiguration, a trap unwinding a half-consumed replay, a fused
+// body's guard sending a trapping block back to per-op replay, and an
+// instruction deadline landing inside a steady-state fused run.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -390,6 +391,175 @@ std::string check_permute_guard(const Case& c) {
   });
 }
 
+/// Passive fault hook: records where each vsetvl polls the deadline, as the
+/// counter total before its charge.  Installing it also stands the tracer
+/// down, so it only ever rides on an interpreting machine.
+class VsetvlProbe final : public FaultHook {
+ public:
+  void on_instruction(sim::InstClass cls, const TrapContext& ctx) override {
+    if (cls == sim::InstClass::kVectorConfig) polls.push_back(ctx.inst_number);
+  }
+  std::vector<std::uint64_t> polls;
+};
+
+/// One call of a fused kernel family (or the radix sort, whose strip-mine
+/// loops all fuse) over the case's operands; the whole result lands in `out`.
+template <class T, unsigned L>
+void run_fused_kernel(unsigned which, const std::vector<T>& a,
+                      const std::vector<T>& b, const std::vector<T>& flags,
+                      const std::vector<T>& perm, unsigned bit,
+                      std::vector<T>& out) {
+  const std::span<const T> ca(a), cb(b), cf(flags);
+  switch (which) {
+    case 0:
+      out = a;
+      return svm::p_add<T, L>(std::span<T>(out), cb);
+    case 1:
+      out = a;
+      return svm::p_add<T, L>(std::span<T>(out), static_cast<T>(bit + 1));
+    case 2:
+      out = a;
+      return svm::p_select<T, L>(cf, cb, std::span<T>(out));
+    case 3:
+      out.assign(a.size(), T{0});
+      return svm::p_copy<T, L>(ca, std::span<T>(out));
+    case 4:
+      out.assign(a.size(), T{0});
+      return svm::p_flag_lt<T, L>(ca, cb, std::span<T>(out));
+    case 5:
+      out.assign(a.size(), T{0});
+      return svm::get_flags<T, L>(ca, std::span<T>(out), bit);
+    case 6:
+      out.assign(a.size(), T{0});
+      out.push_back(static_cast<T>(svm::enumerate<T, L>(
+          cf, std::span<T>(out).first(a.size()), true)));
+      return;
+    case 7:
+      out.assign(a.size(), T{0});
+      return svm::permute<T, L>(ca, std::span<T>(out),
+                                std::span<const T>(perm));
+    case 8:
+      out = a;
+      return svm::plus_scan<T, L>(std::span<T>(out));
+    case 9:
+      out = a;
+      return svm::plus_scan_exclusive<T, L>(std::span<T>(out));
+    case 10:
+      out = {svm::reduce<svm::PlusOp, T, L>(ca)};
+      return;
+    case 11:
+      out = a;
+      return svm::seg_plus_scan<T, L>(std::span<T>(out), cf);
+    default:
+      out = a;
+      return apps::split_radix_sort<T, L>(std::span<T>(out));
+  }
+}
+
+constexpr unsigned kFusedKernelCount = 13;
+
+/// An instruction deadline inside a warm fused strip-mine loop.  Seeded:
+/// the kernel, 0-3 warm-up calls (so the deadline call records, verifies or
+/// replays), and the deadline offset — three times in four on a vsetvl's
+/// poll point of the call, or one off it, where a steady-state run's
+/// admission must stop exactly as the interpreter's polls do.  Cache on and
+/// off must agree on whether and where the call traps, on per-class counts,
+/// on data and on the register-file stats.
+std::string check_deadline(const Case& c) {
+  return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
+    using UI = std::make_unsigned_t<T>;
+    const unsigned vlen = norm_vlen(c.vlen);
+    Rng rng(c.scalar);
+    const auto which = static_cast<unsigned>(rng.below(kFusedKernelCount));
+    const auto warm = static_cast<int>(rng.below(4));
+    std::size_t n = c.vl % (kMaxN + 1);
+    // A permutation's indices must fit T; the radix sort is capped to keep
+    // the interpreted side cheap.
+    constexpr auto kMaxIndex = static_cast<std::size_t>(std::numeric_limits<UI>::max());
+    if (which == 7 && n > 0 && n - 1 > kMaxIndex) n = kMaxIndex + 1;
+    if (which >= 12) n = std::min<std::size_t>(n, 512);
+    const std::vector<T> a = to_elems<T>(c.a, n);
+    const std::vector<T> b = to_elems<T>(c.b, n);
+    const auto fb = to_bits(c.m, n);
+    const std::vector<T> flags(fb.begin(), fb.end());
+    std::vector<T> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<T>(i);
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(perm[i - 1], perm[static_cast<std::size_t>(rng.below(i))]);
+    }
+    const auto bit = static_cast<unsigned>(c.offset % rvv::kSewBits<T>);
+    auto run = [&](std::vector<T>& out) {
+      run_fused_kernel<T, L>(which, a, b, flags, perm, bit, out);
+    };
+
+    // Where this call's vsetvls poll, relative to the call's first
+    // instruction, from an interpreting probe.
+    std::uint64_t call_insts = 0;
+    std::vector<std::uint64_t> polls;
+    {
+      rvv::Machine probe({.vlen_bits = vlen, .use_exec_cache = false});
+      VsetvlProbe hook;
+      probe.set_fault_hook(&hook);
+      rvv::MachineScope scope(probe);
+      std::vector<T> out;
+      run(out);
+      call_insts = probe.counter().total();
+      polls = std::move(hook.polls);
+    }
+    std::uint64_t d = rng.below(call_insts + 2);
+    if (!polls.empty() && rng.below(4) != 0) {
+      d = polls[static_cast<std::size_t>(rng.below(polls.size()))] + rng.below(3);
+      d = d == 0 ? 0 : d - 1;
+    }
+
+    struct Outcome {
+      std::string trap;
+      std::vector<T> data;
+      sim::CountSnapshot counts;
+    };
+    auto script = [&](rvv::Machine& m) {
+      rvv::MachineScope scope(m);
+      Outcome o;
+      for (int pass = 0; pass < warm; ++pass) run(o.data);
+      m.set_instruction_deadline(m.counter().total() + d);
+      try {
+        run(o.data);
+        o.trap = "none";
+      } catch (const DeadlineTrap& e) {
+        o.trap = "deadline at inst " + std::to_string(e.context().inst_number);
+      } catch (const std::exception& e) {
+        o.trap = std::string("other: ") + e.what();
+      }
+      m.clear_instruction_deadline();
+      o.counts = m.counter().snapshot();
+      return o;
+    };
+    rvv::Machine cached({.vlen_bits = vlen});
+    rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+    const Outcome got = script(cached);
+    const Outcome want = script(plain);
+    const std::string at = " (kernel " + std::to_string(which) + ", " +
+                           std::to_string(warm) + " warm-up calls, offset " +
+                           std::to_string(d) + ")";
+    if (got.trap != want.trap) {
+      return "trace.deadline: trap diverges (cached: " + got.trap +
+             ", interpreted: " + want.trap + ")" + at;
+    }
+    if (got.data != want.data) {
+      return "trace.deadline: cached data diverges from interpreted data" + at;
+    }
+    if (std::string e = diff_counts("trace.deadline", warm, got.counts, want.counts);
+        !e.empty()) {
+      return e + at;
+    }
+    if (cached.regfile()->spill_count() != plain.regfile()->spill_count() ||
+        cached.regfile()->reload_count() != plain.regfile()->reload_count()) {
+      return "trace.deadline: register-file spill/reload stats diverge" + at;
+    }
+    return "";
+  });
+}
+
 }  // namespace
 
 std::vector<Property> make_trace_properties() {
@@ -403,6 +573,7 @@ std::vector<Property> make_trace_properties() {
   add("trace.apps", check_apps);
   add("trace.trap_mid_replay", check_trap_mid_replay);
   add("trace.permute", check_permute_guard);
+  add("trace.deadline", check_deadline);
   return props;
 }
 

@@ -155,19 +155,26 @@ bool ExecTracer::begin_iteration(ExecCache& cache, const TraceSite& site,
   return true;
 }
 
-bool ExecTracer::take_bulk_replay() {
-  if (mode_ != Mode::kReplay) return false;
-  counter_->add_all(trace_->iter_total);
-  if (regfile_ != nullptr) {
-    regfile_->add_replayed_traffic(trace_->bulk_spills, trace_->bulk_reloads);
-  }
-  ++trace_->replays;
-  ++cache_->stats().trace_replays;
-  ++cache_->stats().trace_fused;
-  cache_->stats().ops_replayed += trace_->entries.size();
+Trace* ExecTracer::take_bulk_replay() {
+  if (mode_ != Mode::kReplay) return nullptr;
+  Trace* t = trace_;
+  charge_fused_run(*t, 1);
   mode_ = Mode::kIdle;
   trace_ = nullptr;
-  return true;
+  return t;
+}
+
+void ExecTracer::charge_fused_run(Trace& t, std::uint64_t blocks) {
+  counter_->add_all(t.iter_total, blocks);
+  if (regfile_ != nullptr) {
+    regfile_->add_replayed_traffic(t.bulk_spills * blocks,
+                                   t.bulk_reloads * blocks);
+  }
+  t.replays += blocks;
+  ExecCacheStats& st = cache_->stats();
+  st.trace_replays += blocks;
+  st.trace_fused += blocks;
+  st.ops_replayed += t.entries.size() * blocks;
 }
 
 bool ExecTracer::record_begin(const char* name, sim::InstClass cls,

@@ -381,12 +381,21 @@ class ExecTracer {
   /// Fused-replay hook: when the engaged iteration has a stable trace,
   /// charge the whole iteration — the recorded per-op counts plus the
   /// body's inter-op scalar bookkeeping — in one add, mirror the recorded
-  /// register-file traffic, and disengage.  Returns true exactly then; the
-  /// caller must replace the op body with a data-equivalent, non-trapping
-  /// fused body (see svm::detail::stripmine's fused overload).  Returns
-  /// false while recording or verifying, in which case the caller runs the
-  /// op body normally.
-  [[nodiscard]] bool take_bulk_replay();
+  /// register-file traffic, and disengage.  Returns the trace exactly then;
+  /// the caller must replace the op body with a data-equivalent,
+  /// non-trapping fused body (see svm::detail::stripmine's fused overload).
+  /// Returns nullptr while recording or verifying, in which case the caller
+  /// runs the op body normally.  The trace is valid until the next
+  /// invalidate(), so callers hold it no longer than their strip-mine call.
+  [[nodiscard]] Trace* take_bulk_replay();
+
+  /// Charge `blocks` more fused iterations of `t` — each exactly what one
+  /// take_bulk_replay() charges, stats included — for a steady-state run
+  /// of full blocks that follows a fused iteration (Machine::
+  /// charge_fused_run adds the run's vsetvl and loop bookkeeping).  Uses
+  /// the counter, register-file model and cache the preceding
+  /// begin_iteration() bound, which are this machine's own.
+  void charge_fused_run(Trace& t, std::uint64_t blocks);
 
   /// Instructions the in-flight replay has consumed but not yet charged:
   /// they land with the iteration's bulk charge, so until then the counter

@@ -140,8 +140,9 @@ class Machine {
   }
 
   /// Cooperative cancellation deadline, as an absolute counter total.  Every
-  /// strip-mined kernel re-executes vsetvl each iteration (including during
-  /// fused-trace replay), so polling here cancels at exactly strip-mine wave
+  /// strip-mined kernel re-executes vsetvl each iteration (a steady-state
+  /// fused run admits only the blocks whose vsetvl would pass, see
+  /// admit_fused_run), so polling here cancels at exactly strip-mine wave
   /// boundaries: once counter().total() reaches the deadline, the next
   /// vsetvl/vsetvlmax raises DeadlineTrap *before* charging — the cancelled
   /// wave never half-charges, and counts stay exact for billing rollback.
@@ -229,6 +230,36 @@ class Machine {
   void end_trace_iteration() { tracer_.end_iteration(); }
   void abort_trace_iteration() { tracer_.abort_iteration(); }
 
+  /// Steady-state runs of a fused strip-mine loop (svm::detail::stripmine):
+  /// once an iteration replayed fused trace `t`, the loop's next full blocks
+  /// share it.  Each such block costs its vsetvl, `t`'s whole-iteration
+  /// total and the loop bookkeeping `step`.  Returns how many of the next
+  /// `blocks` may run before the deadline: block j (0-based) runs iff
+  /// total + j * per_block < deadline, exactly when its vsetvl poll would
+  /// pass, so the loop's next vsetvl traps where the interpreter's would.
+  /// Divides rather than multiplies: the service arms deadlines as
+  /// total + remaining, which leaves no headroom for a product.
+  [[nodiscard]] std::size_t admit_fused_run(const Trace& t, std::size_t blocks,
+                                            const sim::ScalarCost& step) const {
+    if (inst_deadline_ == 0) return blocks;
+    const std::uint64_t total = counter_.total();
+    if (total >= inst_deadline_) return 0;
+    const std::uint64_t per_block = 1 + t.iter_total.total() + step.total();
+    const std::uint64_t fit = (inst_deadline_ - total - 1) / per_block + 1;
+    return fit < blocks ? static_cast<std::size_t>(fit) : blocks;
+  }
+
+  /// Charge `blocks` admitted run blocks at once, each exactly what one
+  /// fused iteration charges: one vsetvl, the trace's replay (counts,
+  /// register-file traffic, per-block stats) and `step`.  No fault channel
+  /// is armed while a trace replays, so the vsetvls need no hook window.
+  void charge_fused_run(Trace& t, std::size_t blocks,
+                        const sim::ScalarCost& step) {
+    counter_.add(sim::InstClass::kVectorConfig, blocks);
+    tracer_.charge_fused_run(t, blocks);
+    scalar_.charge(step, blocks);
+  }
+
   /// The machine the intrinsic-style free functions execute on.
   /// Throws std::logic_error when no MachineScope is active.
   [[nodiscard]] static Machine& active();
@@ -293,18 +324,17 @@ class TraceIteration {
     }
   }
 
-  /// True when a stable trace covers this iteration.  The whole iteration's
-  /// counts (per-op charges plus the body's scalar bookkeeping) have then
-  /// been charged in bulk and the tracer disengaged: the caller must run a
-  /// data-equivalent, non-trapping fused body instead of the op body, and
-  /// must not call finish().  False engages the normal record/verify or
-  /// per-op replay path.
-  [[nodiscard]] bool replay_fused() {
-    if (engaged_ && m_.tracer().take_bulk_replay()) {
-      engaged_ = false;
-      return true;
-    }
-    return false;
+  /// The stable trace covering this iteration, or nullptr.  With a trace,
+  /// the whole iteration's counts (per-op charges plus the body's scalar
+  /// bookkeeping) have been charged in bulk and the tracer disengaged: the
+  /// caller must run a data-equivalent, non-trapping fused body instead of
+  /// the op body, and must not call finish().  nullptr engages the normal
+  /// record/verify or per-op replay path.
+  [[nodiscard]] Trace* replay_fused() {
+    if (!engaged_) return nullptr;
+    Trace* t = m_.tracer().take_bulk_replay();
+    if (t != nullptr) engaged_ = false;
+    return t;
   }
 
  private:

@@ -106,13 +106,13 @@ class InstCounter {
     counts_[static_cast<std::size_t>(cls)] += n;
   }
 
-  /// Record a whole snapshot's worth of retired instructions at once — the
+  /// Record `times` snapshots' worth of retired instructions at once — the
   /// bulk-charge primitive behind trace replay: a replayed strip-mine
-  /// iteration lands all its per-class counts in one call instead of one
-  /// add() per emulated instruction.
-  void add_all(const CountSnapshot& delta) noexcept {
+  /// iteration (or a run of `times` identical ones) lands all its per-class
+  /// counts in one call instead of one add() per emulated instruction.
+  void add_all(const CountSnapshot& delta, std::uint64_t times = 1) noexcept {
     for (std::size_t i = 0; i < kNumInstClasses; ++i) {
-      counts_[i] += delta.counts_[i];
+      counts_[i] += delta.counts_[i] * times;
     }
   }
 

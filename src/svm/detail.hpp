@@ -99,19 +99,35 @@ struct AlwaysFusable {
 ///     is charged and the trace stays stable.
 /// Recording, verification, divergence handling, and machines with the
 /// cache disabled (or a fault schedule armed) all run `body` unchanged.
+///
+/// Steady state: after an iteration replays fused, the full blocks that
+/// follow it (vl = VLMAX, so the same trace key) run as one *run* — one
+/// charge of exactly what that many fused iterations charge one by one
+/// (vsetvl, trace total, loop bookkeeping, spill/reload events, per-block
+/// stats), then `fused` once per block, in order.  Fused bodies create no
+/// vector values and arm no fault channel, so every engagement
+/// precondition the first block passed holds for the whole run.  The run
+/// admits only blocks whose vsetvl would pass the deadline poll
+/// (Machine::admit_fused_run) and stops at the first block `fusable`
+/// rejects; that block, and the tail, go round the loop as before.
+/// `fusable` sees every block of a run before any of the run's fused
+/// bodies runs, so it must not read what `fused` writes (permute's guard
+/// reads only indices, and never fuses when dst overlaps them).
 template <rvv::VectorElement T, unsigned LMUL, class Body, class Fused,
           class Fusable = AlwaysFusable>
 void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
                Fusable fusable = {}) {
   rvv::Machine& m = rvv::Machine::active();
   static const rvv::TraceSite site{"stripmine"};
+  const sim::ScalarCost step = sim::stripmine_iteration(pointer_bumps);
   m.scalar().charge(sim::kKernelPrologue);
   std::size_t pos = 0;
   while (n > 0) {
     const std::size_t vl = m.vsetvl<T>(n, LMUL);
+    rvv::Trace* replayed = nullptr;
     {
       rvv::TraceIteration trace(m, site, vl, rvv::kSewBits<T>, LMUL);
-      if (fusable(pos, vl) && trace.replay_fused()) {
+      if (fusable(pos, vl) && (replayed = trace.replay_fused()) != nullptr) {
         fused(pos, vl);
       } else {
         body(pos, vl);
@@ -120,7 +136,17 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
     }
     pos += vl;
     n -= vl;
-    m.scalar().charge(sim::stripmine_iteration(pointer_bumps));
+    m.scalar().charge(step);
+    if (replayed != nullptr && n >= vl) {
+      const std::size_t admitted = m.admit_fused_run(*replayed, n / vl, step);
+      std::size_t blocks = 0;
+      while (blocks < admitted && fusable(pos + blocks * vl, vl)) ++blocks;
+      m.charge_fused_run(*replayed, blocks, step);
+      for (const std::size_t end = pos + blocks * vl; pos < end; pos += vl) {
+        fused(pos, vl);
+      }
+      n -= blocks * vl;
+    }
   }
 }
 

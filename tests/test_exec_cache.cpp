@@ -12,11 +12,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "apps/radix_sort.hpp"
 #include "check/fault_injection.hpp"
 #include "par/par.hpp"
 #include "rvv/rvv.hpp"
@@ -418,6 +423,233 @@ TEST(ExecCache, InPlacePermuteKeepsPerOpReplay) {
   const auto [data_plain, counts_plain] = run(false);
   EXPECT_EQ(data_cached, data_plain);
   expect_same_counts(counts_cached, counts_plain, "in-place permute");
+}
+
+// --- steady-state runs -----------------------------------------------------
+
+/// Seeded operands for the run tests.  Every kernel call reads only these
+/// and overwrites its whole result, so repeated calls see the same input.
+struct RunInputs {
+  std::vector<u32> src, other, flags, index;
+};
+
+RunInputs run_inputs(std::size_t n) {
+  RunInputs in;
+  std::mt19937 rng(7);
+  for (std::size_t i = 0; i < n; ++i) {
+    in.src.push_back(static_cast<u32>(rng()));
+    in.other.push_back(static_cast<u32>(rng()));
+    in.flags.push_back(static_cast<u32>(rng() % 4 == 0));
+  }
+  in.index.resize(n);
+  std::iota(in.index.begin(), in.index.end(), u32{0});
+  std::shuffle(in.index.begin(), in.index.end(), rng);
+  return in;
+}
+
+struct RunKernel {
+  const char* name;
+  unsigned lmul;
+  void (*run)(const RunInputs&, std::vector<u32>&);
+};
+
+/// One call per fused kernel family, each a single strip-mine loop.
+const RunKernel kFusedKernels[] = {
+    {"p_add vv", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::p_add<u32, 1>(std::span<u32>(out), std::span<const u32>(in.other));
+     }},
+    {"p_add vx", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::p_add<u32, 1>(std::span<u32>(out), u32{0x9e3779b9u});
+     }},
+    {"p_select", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::p_select<u32, 1>(std::span<const u32>(in.flags),
+                             std::span<const u32>(in.other), std::span<u32>(out));
+     }},
+    {"p_copy", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.src.size(), 0);
+       svm::p_copy<u32, 1>(std::span<const u32>(in.src), std::span<u32>(out));
+     }},
+    {"p_flag_lt", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.src.size(), 0);
+       svm::p_flag_lt<u32, 1>(std::span<const u32>(in.src),
+                              std::span<const u32>(in.other), std::span<u32>(out));
+     }},
+    {"get_flags", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.src.size(), 0);
+       svm::get_flags<u32, 1>(std::span<const u32>(in.src), std::span<u32>(out), 5);
+     }},
+    {"enumerate", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.flags.size(), 0);
+       const std::size_t total = svm::enumerate<u32, 1>(
+           std::span<const u32>(in.flags), std::span<u32>(out), true);
+       out.push_back(static_cast<u32>(total));
+     }},
+    {"permute", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.src.size(), 0);
+       svm::permute<u32, 1>(std::span<const u32>(in.src), std::span<u32>(out),
+                            std::span<const u32>(in.index));
+     }},
+    {"plus_scan", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::plus_scan<u32, 1>(std::span<u32>(out));
+     }},
+    {"plus_scan_exclusive", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::plus_scan_exclusive<u32, 1>(std::span<u32>(out));
+     }},
+    {"reduce", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = {svm::reduce<svm::PlusOp, u32, 1>(std::span<const u32>(in.src))};
+     }},
+    {"seg_scan_inclusive m1", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::seg_plus_scan<u32, 1>(std::span<u32>(out),
+                                  std::span<const u32>(in.flags));
+     }},
+    {"seg_scan_inclusive m8", 8,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::seg_plus_scan<u32, 8>(std::span<u32>(out),
+                                  std::span<const u32>(in.flags));
+     }},
+};
+
+const RunKernel& fused_kernel(std::string_view name) {
+  for (const RunKernel& k : kFusedKernels) {
+    if (name == k.name) return k;
+  }
+  throw std::invalid_argument("no fused kernel named " + std::string(name));
+}
+
+TEST(ExecCache, FusedRunsChargeLikeTheInterpreter) {
+  // n = 1001 leaves a tail at every VLMAX here.  Calls 1 and 2 record and
+  // verify both shapes; on call 3 block 0 replays fused, every later full
+  // block runs in one steady-state run, and the tail replays fused alone.
+  constexpr std::size_t kN = 1001;
+  const RunInputs in = run_inputs(kN);
+  std::uint64_t m8_spills = 0;
+  for (const unsigned vlen : {128u, 1024u}) {
+    for (const RunKernel& k : kFusedKernels) {
+      SCOPED_TRACE(testing::Message() << k.name << " at VLEN " << vlen);
+      rvv::Machine cached({.vlen_bits = vlen});
+      rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+      std::vector<u32> got, want;
+      sim::CountSnapshot got_call, want_call;
+      for (rvv::Machine* m : {&cached, &plain}) {
+        rvv::MachineScope scope(*m);
+        std::vector<u32>& out = m == &cached ? got : want;
+        k.run(in, out);
+        k.run(in, out);
+        const sim::CountSnapshot c0 = m->counter().snapshot();
+        const u64 fused0 = m->exec_cache().stats().trace_fused;
+        k.run(in, out);
+        (m == &cached ? got_call : want_call) = m->counter().snapshot() - c0;
+        if (m == &cached) {
+          const std::size_t vlmax = rvv::vlmax_for(vlen, 32, k.lmul);
+          EXPECT_EQ(m->exec_cache().stats().trace_fused - fused0,
+                    (kN + vlmax - 1) / vlmax);
+        }
+      }
+      EXPECT_EQ(got, want);
+      expect_same_counts(got_call, want_call, k.name);
+      expect_same_counts(cached.counter().snapshot(), plain.counter().snapshot(),
+                         k.name);
+      EXPECT_EQ(cached.regfile()->spill_count(), plain.regfile()->spill_count());
+      EXPECT_EQ(cached.regfile()->reload_count(), plain.regfile()->reload_count());
+      if (k.lmul == 8) m8_spills += plain.regfile()->spill_count();
+      const rvv::ExecCacheStats& st = cached.exec_cache().stats();
+      EXPECT_EQ(st.trace_aborts, 0u);
+      EXPECT_EQ(st.trace_poisons, 0u);
+    }
+  }
+  // The LMUL 8 segmented scan spills inside its traced window, so the runs'
+  // k-fold spill/reload mirroring is on the line above.
+  EXPECT_GT(m8_spills, 0u);
+}
+
+TEST(ExecCache, DeadlineInsideFusedRunTrapsLikeTheInterpreter) {
+  // Block j of a run may start only where its vsetvl's deadline poll would
+  // pass.  Sweep the deadline over every instruction of a warm call (and, for
+  // the radix sort's 192 strip-mine loops, densely over the first loops and
+  // then at a stride through the rest): cached and interpreted machines must
+  // trap at the same instruction with the same counts and data.
+  struct Outcome {
+    bool trapped = false;
+    u64 inst = 0;
+    sim::CountSnapshot counts;
+    std::vector<u32> data;
+  };
+  const RunKernel radix_sort{"split_radix_sort", 1,
+                             [](const RunInputs& in, std::vector<u32>& out) {
+                               out = in.src;
+                               apps::split_radix_sort<u32, 1>(std::span<u32>(out));
+                             }};
+  const RunKernel kernels[] = {fused_kernel("plus_scan"),
+                               fused_kernel("permute"), radix_sort};
+  std::size_t traps = 0;
+  for (const unsigned vlen : {128u, 1024u}) {
+    // Five full blocks and a tail: block 0 fuses, blocks 1-4 form a run.
+    const std::size_t n = 5 * rvv::vlmax_for(vlen, 32, 1) + 3;
+    const RunInputs in = run_inputs(n);
+    for (const RunKernel& k : kernels) {
+      SCOPED_TRACE(testing::Message() << k.name << " at VLEN " << vlen);
+      rvv::Machine cached({.vlen_bits = vlen});
+      rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+      u64 call_insts = 0;
+      for (rvv::Machine* m : {&cached, &plain}) {
+        rvv::MachineScope scope(*m);
+        std::vector<u32> out;
+        for (int pass = 0; pass < 3; ++pass) k.run(in, out);
+        const u64 before = m->counter().total();
+        k.run(in, out);
+        call_insts = m->counter().total() - before;
+      }
+      const auto call = [&](rvv::Machine& m, u64 d) {
+        rvv::MachineScope scope(m);
+        Outcome o;
+        m.set_instruction_deadline(m.counter().total() + d);
+        try {
+          k.run(in, o.data);
+        } catch (const DeadlineTrap& e) {
+          o.trapped = true;
+          o.inst = e.context().inst_number;
+        }
+        m.clear_instruction_deadline();
+        o.counts = m.counter().snapshot();
+        return o;
+      };
+      const u64 dense = std::min<u64>(call_insts + 2, 300);
+      const u64 stride = call_insts + 2 > dense ? 211 : 1;
+      for (u64 d = 0; d <= call_insts + 1; d += d < dense ? 1 : stride) {
+        const Outcome got = call(cached, d);
+        const Outcome want = call(plain, d);
+        ASSERT_EQ(got.trapped, want.trapped) << "deadline offset " << d;
+        ASSERT_EQ(got.inst, want.inst) << "deadline offset " << d;
+        ASSERT_EQ(got.data, want.data) << "deadline offset " << d;
+        expect_same_counts(got.counts, want.counts, "deadline sweep");
+        ASSERT_EQ(got.counts.total(), want.counts.total())
+            << "deadline offset " << d;
+        traps += want.trapped ? 1 : 0;
+      }
+      // The warm calls ran fused: the sweep exercised the run path.
+      EXPECT_GT(cached.exec_cache().stats().trace_fused, 0u);
+    }
+  }
+  EXPECT_GT(traps, 0u);
 }
 
 TEST(ExecCache, FaultHookDisengagesTracing) {
