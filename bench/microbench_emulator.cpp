@@ -5,9 +5,11 @@
 // emulator's hot paths (vreg allocation, the register-pressure model).
 // Two modes:
 //   * default: google-benchmark timings of individual emulator paths;
-//   * --throughput [--json FILE] [--n N] [--smoke]: the parallel sweep from
-//     bench_runner — kernel × VLEN × {cache on, cache off} elements/sec —
-//     which writes the machine-readable BENCH_emulator.json perf trajectory.
+//   * --throughput [--json FILE] [--n N] [--threads T] [--smoke]: the
+//     parallel sweep from bench_runner — kernel × VLEN × {cache on, cache
+//     off} elements/sec — which writes the machine-readable
+//     BENCH_emulator.json perf trajectory.  --smoke runs a small sweep on
+//     one thread (a later --threads overrides it).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -132,10 +134,13 @@ int run_throughput_mode(int argc, char** argv) {
     } else if (arg == "--min-speedup" && i + 1 < argc) {
       min_speedup = std::stod(argv[++i]);
     } else if (arg == "--smoke") {
-      // CI-sized run: small input, short timing windows, two VLENs.
+      // CI-sized run: small input, short timing windows, two VLENs, one
+      // worker thread.  Cells timed side by side on a shared host spread
+      // the gated geomean too widely to hold a floor.
       opt.n = 1u << 12;
       opt.min_seconds = 0.01;
       opt.vlens = {128, 1024};
+      opt.threads = 1;
     } else {
       std::cerr << "usage: microbench_emulator [--throughput [--json FILE] "
                    "[--n N] [--threads T] [--min-speedup X] [--smoke]]\n";

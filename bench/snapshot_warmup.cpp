@@ -15,11 +15,18 @@
 //   * restore — construct a Machine and a fresh AutoTuner, then read the
 //     snapshot file a previous cold run saved and restore it.
 //
-// Both are best-of-N reps.  After the timed restore the bench verifies the
-// warm-start contract before reporting: the restored ledger equals the cold
-// machine's class-for-class, and the next tuned call replays the imported
-// winner without re-measuring.  A cell that fails verification fails the
-// bench regardless of its speedup.
+// A snapshot carries the ledger and the tuner's winners, not host caches,
+// so a restored machine's first call still records its strip-mine traces
+// and fills its decode table and buffer pool.  The bench reports that cost
+// next to the restore: first_call_ms times one tuned plus_scan on each
+// restored machine, warm_call_ms the same call on each cold-warmed machine,
+// whose caches are already warm.
+//
+// All timings are best-of-N reps.  After the timed restore the bench
+// verifies the warm-start contract before reporting: the restored ledger
+// equals the cold machine's class-for-class, and the first tuned call
+// replays the imported winner without re-measuring.  A cell that fails
+// verification fails the bench regardless of its speedup.
 //
 // --min-speedup X turns the report into a CI gate applied at the largest
 // VLEN (the paper's headline configuration).  --json writes the
@@ -65,6 +72,8 @@ struct Cell {
   double cold_ms = 0.0;
   double restore_ms = 0.0;
   double speedup = 0.0;
+  double first_call_ms = 0.0;  ///< first tuned plus_scan after a restore
+  double warm_call_ms = 0.0;   ///< the same call on a cold-warmed machine
   std::size_t snapshot_bytes = 0;
   std::size_t tuner_winners = 0;
   std::size_t traces = 0;
@@ -109,6 +118,20 @@ void warm(rvv::Machine& m, tune::AutoTuner& tuner, const std::vector<T>& data,
   svm::seg_plus_scan<T>(std::span<T>(tuned_seg), std::span<const T>(flags));
 }
 
+/// One tuned plus_scan on `m`, timed in milliseconds (the operand copy is
+/// made outside the timed region).
+double timed_tuned_scan_ms(rvv::Machine& m, tune::AutoTuner& tuner,
+                           const std::vector<T>& data) {
+  std::vector<T> buf(data);
+  const auto t0 = Clock::now();
+  {
+    tune::TunerScope ts(tuner);
+    rvv::MachineScope scope(m);
+    svm::plus_scan<T>(std::span<T>(buf));
+  }
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 [[nodiscard]] bool same_counts(const sim::CountSnapshot& a,
                                const sim::CountSnapshot& b) {
   for (std::size_t i = 0; i < sim::kNumInstClasses; ++i) {
@@ -130,6 +153,7 @@ Cell run_cell(const Options& opt, unsigned vlen, const std::string& snap_path) {
   // Cold path, best of reps.  The last rep's machine becomes the snapshot
   // source, saved outside any timed region.
   double cold_best_ms = 0.0;
+  double warm_call_best_ms = 0.0;
   sim::CountSnapshot warmed_counts;
   for (std::size_t rep = 0; rep < opt.reps; ++rep) {
     const auto t0 = Clock::now();
@@ -147,11 +171,15 @@ Cell run_cell(const Options& opt, unsigned vlen, const std::string& snap_path) {
       cell.traces = machine.exec_cache().trace_count();
       snap::write_file(snap_path, blob);
     }
+    const double call_ms = timed_tuned_scan_ms(machine, tuner, data);
+    if (rep == 0 || call_ms < warm_call_best_ms) warm_call_best_ms = call_ms;
   }
   cell.cold_ms = cold_best_ms;
+  cell.warm_call_ms = warm_call_best_ms;
 
   // Restore path, best of reps: file read + parse + install.
   double restore_best_ms = 0.0;
+  double first_call_best_ms = 0.0;
   for (std::size_t rep = 0; rep < opt.reps; ++rep) {
     const auto t0 = Clock::now();
     tune::AutoTuner tuner;
@@ -161,21 +189,19 @@ Cell run_cell(const Options& opt, unsigned vlen, const std::string& snap_path) {
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     if (rep == 0 || ms < restore_best_ms) restore_best_ms = ms;
 
+    // Warm-start contract: ledger restored bit-identically, and the first
+    // tuned call replays the imported winner without re-measuring.
+    const bool ledger_ok =
+        same_counts(machine.counter().snapshot(), warmed_counts);
+    const double call_ms = timed_tuned_scan_ms(machine, tuner, data);
+    if (rep == 0 || call_ms < first_call_best_ms) first_call_best_ms = call_ms;
     if (rep + 1 == opt.reps) {
-      // Warm-start contract: ledger restored bit-identically, and the next
-      // tuned call replays the imported winner without re-measuring.
-      cell.verified = same_counts(machine.counter().snapshot(), warmed_counts);
-      {
-        tune::TunerScope ts(tuner);
-        rvv::MachineScope scope(machine);
-        std::vector<T> buf(data);
-        svm::plus_scan<T>(std::span<T>(buf));
-      }
-      cell.verified = cell.verified && tuner.stats().measurements == 0 &&
+      cell.verified = ledger_ok && tuner.stats().measurements == 0 &&
                       tuner.stats().hits >= 1;
     }
   }
   cell.restore_ms = restore_best_ms;
+  cell.first_call_ms = first_call_best_ms;
   cell.speedup =
       cell.restore_ms > 0.0 ? cell.cold_ms / cell.restore_ms : 0.0;
 
@@ -199,7 +225,7 @@ void write_json(const std::vector<Cell>& cells, const Options& opt,
   const Cell& gated = cells.back();
   out << "{\n"
       << "  \"schema\": \"rvvsvm-bench-snapshot\",\n"
-      << "  \"schema_version\": 1,\n"
+      << "  \"schema_version\": 2,\n"
       << "  \"seed\": " << opt.seed << ",\n"
       << "  \"n\": " << opt.n << ",\n"
       << "  \"reps\": " << opt.reps << ",\n"
@@ -216,6 +242,8 @@ void write_json(const std::vector<Cell>& cells, const Options& opt,
         << ", \"cold_ms\": " << json_number(c.cold_ms)
         << ", \"restore_ms\": " << json_number(c.restore_ms)
         << ", \"speedup\": " << json_number(c.speedup)
+        << ", \"first_call_ms\": " << json_number(c.first_call_ms)
+        << ", \"warm_call_ms\": " << json_number(c.warm_call_ms)
         << ", \"snapshot_bytes\": " << c.snapshot_bytes
         << ", \"tuner_winners\": " << c.tuner_winners
         << ", \"traces\": " << c.traces
@@ -228,14 +256,17 @@ void write_json(const std::vector<Cell>& cells, const Options& opt,
 void print_summary(const std::vector<Cell>& cells) {
   std::cout << std::left << std::setw(7) << "vlen" << std::right
             << std::setw(12) << "cold ms" << std::setw(12) << "restore ms"
-            << std::setw(11) << "speedup" << std::setw(10) << "bytes"
+            << std::setw(11) << "speedup" << std::setw(12) << "1st call ms"
+            << std::setw(13) << "warm call ms" << std::setw(10) << "bytes"
             << std::setw(9) << "winners" << std::setw(8) << "traces"
             << std::setw(10) << "verified" << '\n';
   for (const Cell& c : cells) {
     std::cout << std::left << std::setw(7) << c.vlen << std::right
               << std::fixed << std::setw(12) << std::setprecision(3)
               << c.cold_ms << std::setw(12) << c.restore_ms << std::setw(10)
-              << std::setprecision(1) << c.speedup << "x" << std::setw(10)
+              << std::setprecision(1) << c.speedup << "x"
+              << std::setprecision(3) << std::setw(12) << c.first_call_ms
+              << std::setw(13) << c.warm_call_ms << std::setw(10)
               << c.snapshot_bytes << std::setw(9) << c.tuner_winners
               << std::setw(8) << c.traces << std::setw(10)
               << (c.verified ? "yes" : "NO") << '\n';

@@ -70,9 +70,8 @@ Case gen_snap(Rng& rng) {
 }
 
 /// One case-selected kernel over the case's operands, run on the active
-/// machine; results flatten into `obs`.  Covers the kernel shapes a warm
-/// snapshot carries: strip-mined scans (trace material), segmented scans,
-/// reductions, and pack (mask/permute material).
+/// machine; results flatten into `obs`.  Covers strip-mined scans,
+/// segmented scans, reductions, and pack.
 template <class T, unsigned L>
 struct Workload {
   std::vector<T> data;
@@ -171,8 +170,8 @@ std::string check_roundtrip(const Case& c) {
     }
 
     // Re-running the same kernel on both machines is bit-identical in data
-    // and in count deltas (the restored caches may replay, but replay is
-    // count-exact by construction).
+    // and in count deltas (the original replays its traces while the
+    // restored machine records them afresh; both are count-exact).
     std::vector<std::uint64_t> obs_original;
     std::vector<std::uint64_t> obs_restored;
     sim::CountSnapshot delta_original;

@@ -112,32 +112,14 @@ template <rvv::VectorElement T>
 /// Tuned-LMUL choice for a collective, made ONCE at the entry point so every
 /// shard of the job runs the same LMUL (per-shard tuning would break the
 /// hart-count invariance of merged counts).  The key carries the pool's hart
-/// count next to the svm-level fields; measurement runs the per-shard svm
-/// kernel at the shard's representative size on a scratch machine cloned
-/// from hart 0's shape, exactly like the single-hart path in svm/tuning.hpp.
+/// count; measurement runs the per-shard svm kernel at the shard's
+/// representative size on a scratch machine cloned from hart 0's shape.
 template <rvv::VectorElement T, class Measure>
 [[nodiscard]] unsigned tuned_collective_lmul(HartPool& pool, tune::Shape shape,
                                              std::size_t n, Measure&& measure) {
-  tune::AutoTuner& tuner = tune::AutoTuner::active();
-  if (n == 0 || !tuner.enabled()) return 1;
-  rvv::Machine& m0 = pool.machine(0);
-  const std::size_t shard_n = std::min(n, pool.shard_size());
-  const tune::Key key{.shape = shape,
-                      .bucket = tune::n_bucket(shard_n),
-                      .sew = rvv::kSewBits<T>,
-                      .vlen = m0.vlen_bits(),
-                      .harts = pool.harts()};
-  const rvv::Machine::Config scratch_cfg{
-      .vlen_bits = m0.vlen_bits(),
-      .model_register_pressure = m0.regfile() != nullptr,
-      .use_exec_cache = false};
-  return tuner.choose(key, [&](unsigned lmul) -> std::uint64_t {
-    rvv::Machine scratch(scratch_cfg);
-    rvv::MachineScope scope(scratch);
-    svm::detail::TuneScratch<T> operands(tune::representative_n(shard_n));
-    svm::detail::with_lmul(lmul, [&](auto lc) { measure(lc, operands); });
-    return scratch.counter().total();
-  });
+  return svm::detail::tuned_lmul<T>(pool.machine(0), pool.harts(), shape,
+                                    std::min(n, pool.shard_size()),
+                                    std::forward<Measure>(measure));
 }
 
 }  // namespace detail

@@ -1,125 +1,9 @@
-// Cold paths of the trace engine: the iteration brackets, the
-// record-store/verify/promote state machine, and the snapshot import/export
-// of both cache levels.  The per-op hooks stay inline in decode.hpp.
+// Cold paths of the trace engine: the iteration brackets and the
+// record-store/verify/promote state machine.  The per-op hooks stay inline
+// in decode.hpp.
 #include "rvv/decode.hpp"
 
-#include <cstring>
-#include <utility>
-
 namespace rvvsvm::rvv {
-
-std::vector<PortableDecodedOp> ExecCache::export_decoded() const {
-  std::vector<PortableDecodedOp> out;
-  out.reserve(decoded_.size() + pending_decoded_.size());
-  for (const auto& [key, op] : decoded_) {
-    out.push_back(PortableDecodedOp{op.name != nullptr ? op.name : "", op.cls,
-                                    op.sew_bits, op.lmul, op.masked, op.vlmax,
-                                    op.executions});
-  }
-  for (const PortableDecodedOp& p : pending_decoded_) out.push_back(p);
-  return out;
-}
-
-std::vector<PortableTrace> ExecCache::export_traces() const {
-  std::vector<PortableTrace> out;
-  for (const auto& [key, t] : traces_) {
-    if (t.state != TraceState::kStable) continue;
-    PortableTrace p;
-    // The key's opaque site pointer is always &site of the TraceSite the
-    // strip-mine loop passed in, so its label is recoverable here.
-    p.label = static_cast<const TraceSite*>(key.site)->label;
-    p.vl = key.vl;
-    p.sew_bits = key.sew_bits;
-    p.lmul = key.lmul;
-    p.iter_total = t.iter_total;
-    p.replays = t.replays;
-    p.entries.reserve(t.entries.size());
-    for (const TraceEntry& e : t.entries) {
-      p.entries.push_back(PortableTraceEntry{e.name != nullptr ? e.name : "",
-                                             e.meta, e.vl, e.delta,
-                                             e.spill_events, e.reload_events});
-    }
-    out.push_back(std::move(p));
-  }
-  for (const PortableTrace& p : pending_traces_) out.push_back(p);
-  return out;
-}
-
-void ExecCache::install_pending(std::vector<PortableDecodedOp> decoded,
-                                std::vector<PortableTrace> traces,
-                                const ExecCacheStats& stats) {
-  pending_decoded_ = std::move(decoded);
-  pending_traces_ = std::move(traces);
-  // The stat image travels with the content — except `invalidations`, which
-  // counts invalidate() calls on THIS cache object (the restore itself was
-  // one); importing the source machine's tally would hide that the restore
-  // went through the single invalidation path.
-  const std::uint64_t local_invalidations = stats_.invalidations;
-  stats_ = stats;
-  stats_.invalidations = local_invalidations;
-}
-
-void ExecCache::adopt_pending_decoded(DecodedOp& op) {
-  for (std::size_t i = 0; i < pending_decoded_.size(); ++i) {
-    const PortableDecodedOp& p = pending_decoded_[i];
-    if (p.cls != op.cls || p.sew_bits != op.sew_bits || p.lmul != op.lmul ||
-        p.masked != op.masked || p.vlmax != op.vlmax) {
-      continue;
-    }
-    if (op.name == nullptr || p.name != op.name) continue;
-    op.executions = p.executions;
-    pending_decoded_[i] = std::move(pending_decoded_.back());
-    pending_decoded_.pop_back();
-    return;
-  }
-}
-
-bool ExecCache::adopt_pending_trace(Trace& t, const char* label, std::size_t vl,
-                                    unsigned sew_bits, unsigned lmul,
-                                    const std::vector<TraceEntry>& live,
-                                    const sim::CountSnapshot& iter_delta) {
-  if (label == nullptr) return false;
-  for (std::size_t i = 0; i < pending_traces_.size(); ++i) {
-    const PortableTrace& p = pending_traces_[i];
-    if (p.vl != vl || p.sew_bits != sew_bits || p.lmul != lmul ||
-        p.label != label) {
-      continue;
-    }
-    if (!(p.iter_total == iter_delta)) continue;
-    if (p.entries.size() != live.size()) continue;
-    bool same = true;
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const PortableTraceEntry& pe = p.entries[j];
-      const TraceEntry& le = live[j];
-      if (pe.meta != le.meta || pe.vl != le.vl || !(pe.delta == le.delta) ||
-          pe.spill_events != le.spill_events ||
-          pe.reload_events != le.reload_events || le.name == nullptr ||
-          pe.name != le.name) {
-        same = false;
-        break;
-      }
-    }
-    if (!same) continue;
-    t.entries = live;
-    t.iter_total = iter_delta;
-    t.state = TraceState::kStable;
-    t.bulk = sim::CountSnapshot{};
-    t.bulk_spills = 0;
-    t.bulk_reloads = 0;
-    for (const TraceEntry& e : t.entries) {
-      t.bulk += e.delta;
-      t.bulk_spills += e.spill_events;
-      t.bulk_reloads += e.reload_events;
-    }
-    t.replays = p.replays;
-    pending_traces_[i] = std::move(pending_traces_.back());
-    pending_traces_.pop_back();
-    ++stats_.trace_adoptions;
-    ++stats_.trace_promotions;
-    return true;
-  }
-  return false;
-}
 
 bool ExecTracer::begin_iteration(ExecCache& cache, const TraceSite& site,
                                  std::size_t vl, unsigned sew_bits,
@@ -140,10 +24,6 @@ bool ExecTracer::begin_iteration(ExecCache& cache, const TraceSite& site,
   counter_ = &counter;
   regfile_ = regfile;
   vlen_bits_ = vlen_bits;
-  site_label_ = site.label;
-  iter_vl_ = vl;
-  iter_sew_bits_ = sew_bits;
-  iter_lmul_ = lmul;
   cursor_ = 0;
   scratch_.clear();
   if (t->state == TraceState::kStable) {
@@ -270,14 +150,6 @@ void ExecTracer::finish_record() {
       t.bulk_reloads += e.reload_events;
     }
     ++cache_->stats().trace_promotions;
-  } else if (cache_->pending_trace_count() != 0 &&
-             cache_->adopt_pending_trace(t, site_label_, iter_vl_,
-                                         iter_sew_bits_, iter_lmul_, scratch_,
-                                         iter_delta)) {
-    // A restored snapshot recording matched this pass bit-for-bit.  The
-    // snapshot's recording was itself verified by two agreeing executions
-    // in the source process, and this live pass agreed again, so the trace
-    // is stable one iteration after restore instead of two.
   } else {
     // First recording for this shape, or the verify pass differed
     // (data-dependent body): store it and verify against the next one.

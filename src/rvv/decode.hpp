@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -88,10 +87,8 @@ struct DecodedKeyHash {
 
 /// Identity tag for one strip-mine loop in the source: `stripmine` holds a
 /// function-local static TraceSite per template instantiation, so each
-/// kernel call site gets a distinct address.
-struct TraceSite {
-  const char* label;
-};
+/// kernel call site gets a distinct address.  Only the address matters.
+struct TraceSite {};
 
 enum class TraceState : std::uint8_t {
   kRecording,  ///< no recording stored yet (freshly created)
@@ -168,52 +165,6 @@ struct ExecCacheStats {
   std::uint64_t trace_poisons = 0;     ///< traces retired as unreplayable
   std::uint64_t ops_replayed = 0;      ///< per-op charges satisfied from a trace
   std::uint64_t invalidations = 0;     ///< invalidate() calls
-  std::uint64_t trace_adoptions = 0;   ///< restored recordings promoted live
-};
-
-// --- Portable cache images (snapshot/restore, src/snap) --------------------
-//
-// Decoded-op names are string literals matched by pointer and a TraceSite's
-// identity is the address of a function-local static — neither survives a
-// process boundary.  A snapshot therefore stores *content*: the characters
-// of each name/label plus the shape and count deltas.  On restore the
-// content parks as "pending" state inside the ExecCache; live execution
-// re-establishes the process-local identities and adopts the pending data
-// when it matches bit-for-bit (see install_pending below).
-
-/// Content image of one DecodedOp.
-struct PortableDecodedOp {
-  std::string name;
-  sim::InstClass cls = sim::InstClass::kVectorArith;
-  unsigned sew_bits = 0;
-  unsigned lmul = 1;
-  bool masked = false;
-  std::size_t vlmax = 0;
-  std::uint64_t executions = 0;
-};
-
-/// Content image of one TraceEntry.
-struct PortableTraceEntry {
-  std::string name;
-  std::uint64_t meta = 0;
-  std::size_t vl = 0;
-  sim::CountSnapshot delta;
-  std::uint64_t spill_events = 0;
-  std::uint64_t reload_events = 0;
-};
-
-/// Content image of one stable trace, keyed by (site label, shape).  Site
-/// labels are shared across call sites ("stripmine"), so the key is
-/// deliberately coarse; adoption disambiguates by comparing full entry
-/// content against a live recording, which is collision-safe.
-struct PortableTrace {
-  std::string label;
-  std::size_t vl = 0;
-  unsigned sew_bits = 0;
-  unsigned lmul = 1;
-  std::vector<PortableTraceEntry> entries;
-  sim::CountSnapshot iter_total;
-  std::uint64_t replays = 0;
 };
 
 /// Both cache levels plus their stats; one per Machine.
@@ -235,11 +186,6 @@ class ExecCache {
     if (inserted) {
       it->second = DecodedOp{name, cls, sew_bits, lmul, masked, vlmax, 0};
       ++stats_.decode_misses;
-      // A restored snapshot may hold this op's execution counter under its
-      // content key; adopt it so a restored machine's decode table converges
-      // back to the original's.  Empty in normal operation: one branch on
-      // the (already cold) miss path.
-      if (!pending_decoded_.empty()) adopt_pending_decoded(it->second);
     } else {
       ++stats_.decode_hits;
     }
@@ -274,56 +220,16 @@ class ExecCache {
     return t;
   }
 
-  /// Drop every decoded op and trace — including pending snapshot content,
-  /// which is cache state like any other.  Traces hold pointers into the
+  /// Drop every decoded op and trace.  Traces hold pointers into the
   /// decoded table, so the two levels always clear together.  This is the
   /// single invalidation path: Machine::invalidate_exec_caches() routes
   /// reconfigure, snapshot restore, and tuner epoch bumps through here.
   void invalidate() noexcept {
     decoded_.clear();
     traces_.clear();
-    pending_decoded_.clear();
-    pending_traces_.clear();
     memo_key_ = TraceKey{};
     memo_trace_ = nullptr;
     ++stats_.invalidations;
-  }
-
-  // --- snapshot support (src/snap) ---------------------------------------
-
-  /// Content image of the decoded-op table (live entries plus any restored
-  /// content still pending adoption, so repeated checkpoints lose nothing).
-  [[nodiscard]] std::vector<PortableDecodedOp> export_decoded() const;
-
-  /// Content image of every stable trace (plus still-pending ones).
-  [[nodiscard]] std::vector<PortableTrace> export_traces() const;
-
-  /// Install a restored image.  Identities cannot be resurrected directly,
-  /// so the content parks as pending: a decode() miss adopts a matching
-  /// pending op's execution counter, and a fresh recording whose content
-  /// matches a pending trace bit-for-bit promotes straight to stable — the
-  /// live pass stands in for the verify pass, because the snapshot's
-  /// recording already agreed with a second execution when it was promoted
-  /// in the source process.  Mismatched content is simply never adopted and
-  /// ages out on the next invalidate (collision-safe by construction).
-  /// Replaces the stats wholesale; callers invalidate() first.
-  void install_pending(std::vector<PortableDecodedOp> decoded,
-                       std::vector<PortableTrace> traces,
-                       const ExecCacheStats& stats);
-
-  /// Verify-or-adopt: called by ExecTracer::finish_record with a fresh
-  /// recording.  True when a pending trace matched and `t` is now stable.
-  [[nodiscard]] bool adopt_pending_trace(Trace& t, const char* label,
-                                         std::size_t vl, unsigned sew_bits,
-                                         unsigned lmul,
-                                         const std::vector<TraceEntry>& live,
-                                         const sim::CountSnapshot& iter_delta);
-
-  [[nodiscard]] std::size_t pending_decoded_count() const noexcept {
-    return pending_decoded_.size();
-  }
-  [[nodiscard]] std::size_t pending_trace_count() const noexcept {
-    return pending_traces_.size();
   }
 
   [[nodiscard]] const ExecCacheStats& stats() const noexcept { return stats_; }
@@ -336,14 +242,8 @@ class ExecCache {
   }
 
  private:
-  /// Restore a pending op's execution counter into a fresh entry (cold path
-  /// of decode(), only reachable while pending content exists).
-  void adopt_pending_decoded(DecodedOp& op);
-
   std::unordered_map<DecodedKey, DecodedOp, DecodedKeyHash> decoded_;
   std::unordered_map<TraceKey, Trace, TraceKeyHash> traces_;
-  std::vector<PortableDecodedOp> pending_decoded_;  // restored, not yet adopted
-  std::vector<PortableTrace> pending_traces_;
   TraceKey memo_key_{};          // last trace() key; site nullptr = empty
   Trace* memo_trace_ = nullptr;  // bucket for memo_key_
   ExecCacheStats stats_;
@@ -477,10 +377,6 @@ class ExecTracer {
   sim::InstCounter* counter_ = nullptr;
   sim::VRegFileModel* regfile_ = nullptr;
   unsigned vlen_bits_ = 0;
-  const char* site_label_ = nullptr;   // engaged iteration's site label
-  std::size_t iter_vl_ = 0;            // ... and shape, for pending adoption
-  unsigned iter_sew_bits_ = 0;
-  unsigned iter_lmul_ = 0;
   std::size_t cursor_ = 0;             // replay: next entry to consume
   std::vector<TraceEntry> scratch_;    // record: the in-progress pass (reused)
   sim::CountSnapshot iter_snap_;       // record: counter at iteration start

@@ -106,23 +106,6 @@ class Machine {
   /// Full construction-time configuration (snapshot/restore compares it).
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
-  /// The vsetvl memo as one value, for snapshot/restore (src/snap).  Part of
-  /// the machine's warm state: a restored memo means the first vsetvl after
-  /// restore is the same two compares it would have been in the original.
-  struct VsetMemo {
-    unsigned sew_bits = 0;
-    unsigned lmul = 0;
-    std::size_t vlmax = 0;
-  };
-  [[nodiscard]] VsetMemo vset_memo() const noexcept {
-    return VsetMemo{vset_memo_sew_, vset_memo_lmul_, vset_memo_vlmax_};
-  }
-  void restore_vset_memo(const VsetMemo& memo) noexcept {
-    vset_memo_sew_ = memo.sew_bits;
-    vset_memo_lmul_ = memo.lmul;
-    vset_memo_vlmax_ = memo.vlmax;
-  }
-
   /// Zero the dynamic-instruction counter.  Per-hart sweeps reuse machines
   /// across measurement cells and re-baseline with this instead of
   /// re-constructing (which would also drop the warmed buffer pool).

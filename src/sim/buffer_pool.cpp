@@ -63,94 +63,6 @@ void BufferPool::recycle_block(BlockHeader* h) {
   stats_.bytes_cached += class_bytes(cls);
 }
 
-BufferPool::FreelistShape BufferPool::freelist_shape() const {
-  FreelistShape shape;
-  for (unsigned cls = 0; cls < kNumClasses; ++cls) {
-    if (free_blocks_[cls].empty()) continue;
-    shape.blocks.emplace_back(cls,
-                              static_cast<std::uint32_t>(free_blocks_[cls].size()));
-  }
-  for (const RefCell* cell = free_cells_; cell != nullptr; cell = cell->next) {
-    ++shape.cells;
-  }
-  return shape;
-}
-
-BufferPool::PrimedFreelists::PrimedFreelists(const FreelistShape& shape) {
-  // Not a constructor function-try-block: the members must still be alive
-  // in the handler so release() can free what was already allocated.
-  try {
-    for (const auto& [cls, count] : shape.blocks) {
-      assert(cls >= kMinClass && cls < kNumClasses);
-      blocks_[cls].reserve(blocks_[cls].size() + count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        blocks_[cls].push_back(::operator new(class_bytes(cls)));
-      }
-    }
-    for (std::uint64_t i = 0; i < shape.cells; ++i) {
-      auto* cell = new RefCell;
-      cell->refcount = 0;
-      cell->id = 0;
-      cell->owner = nullptr;
-      cell->pool = nullptr;
-      cell->next = cells_;
-      cells_ = cell;
-    }
-  } catch (...) {
-    release();
-    throw;
-  }
-}
-
-void BufferPool::PrimedFreelists::release() noexcept {
-  for (auto& list : blocks_) {
-    for (void* p : list) ::operator delete(p);
-    list.clear();
-  }
-  while (cells_ != nullptr) {
-    RefCell* next = cells_->next;
-    delete cells_;
-    cells_ = next;
-  }
-}
-
-void BufferPool::restore_freelists(const Stats& stats,
-                                   PrimedFreelists&& primed) noexcept {
-  assert(stats_.bytes_in_use == 0 && stats_.cells_in_use == 0 &&
-         "BufferPool::restore_freelists while buffers are in flight");
-  assert(stats.bytes_in_use == 0 && stats.cells_in_use == 0);
-  for (auto& list : free_blocks_) {
-    for (void* p : list) ::operator delete(p);
-    list.clear();
-  }
-  while (free_cells_ != nullptr) {
-    RefCell* next = free_cells_->next;
-    delete free_cells_;
-    free_cells_ = next;
-  }
-  stats_ = stats;
-  stats_.bytes_cached = 0;
-  for (unsigned cls = 0; cls < kNumClasses; ++cls) {
-    free_blocks_[cls] = std::move(primed.blocks_[cls]);
-    primed.blocks_[cls].clear();
-    for (void* raw : free_blocks_[cls]) {
-      auto* h = static_cast<BlockHeader*>(raw);
-      h->pool = this;
-      h->refcount = 0;
-      h->class_idx = cls;
-      stats_.bytes_cached += class_bytes(cls);
-    }
-  }
-  while (primed.cells_ != nullptr) {
-    RefCell* cell = primed.cells_;
-    primed.cells_ = cell->next;
-    cell->pool = this;
-    cell->next = free_cells_;
-    free_cells_ = cell;
-  }
-  owner_ = std::thread::id{};
-}
-
 BufferPool::RefCell* BufferPool::acquire_cell() {
   debug_check_owner();
   maybe_trap_alloc("pool.cell");

@@ -31,7 +31,6 @@
 // depend on which blocks a result happens to reuse.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -65,27 +64,11 @@ class BufferPool {
   };
   static_assert(sizeof(BlockHeader) <= 16);
 
-  /// Power-of-two size classes the freelists are bucketed by; public with
-  /// kMinClass so the snapshot loader can range-check serialized class
-  /// indices at both ends.
+  /// Power-of-two size classes the freelists are bucketed by.
   static constexpr unsigned kNumClasses = 48;
   /// Smallest block (header + payload) in bytes; everything rounds up to a
   /// power of two, so freelists stay dense: one per set bit position.
   static constexpr std::size_t kMinBlockBytes = 64;
-  /// Index of the smallest real size class: class_bytes(kMinClass) ==
-  /// kMinBlockBytes.  Classes below this are smaller than a BlockHeader, so
-  /// a serialized class index under kMinClass must be rejected before any
-  /// block of that class is primed and given a header.
-  static constexpr unsigned kMinClass =
-      static_cast<unsigned>(std::countr_zero(kMinBlockBytes));
-
-  /// Shape of the parked freelists for snapshot/restore (src/snap): how many
-  /// recycled blocks each size class is caching, plus the parked token-cell
-  /// count.  Only meaningful while nothing is in flight.
-  struct FreelistShape {
-    std::vector<std::pair<unsigned, std::uint32_t>> blocks;  ///< (class, count)
-    std::uint64_t cells = 0;
-  };
 
   /// Intrusive refcount cell backing rvv::detail::ValueToken: releases the
   /// register-allocator value `id` on `owner` when the count hits zero.
@@ -95,42 +78,6 @@ class BufferPool {
     void* owner;
     BufferPool* pool;
     RefCell* next;  // freelist link while parked
-  };
-
-  /// Freelist storage pre-allocated during a restore's staging phase,
-  /// before any pool mutates.  Building one performs every allocation the
-  /// matching restore_freelists() call will need — the only step of a
-  /// restore that can throw — so adopting it is allocation-free and the
-  /// snapshot layer's apply phase stays genuinely no-throw.  Move-only;
-  /// storage never adopted is freed on destruction.
-  class PrimedFreelists {
-   public:
-    PrimedFreelists() = default;
-    /// Allocate every block and cell `shape` calls for.  Each (class,
-    /// count) pair must satisfy kMinClass <= class < kNumClasses (asserted
-    /// here; the snapshot decoder range-checks untrusted input first).
-    explicit PrimedFreelists(const FreelistShape& shape);
-    ~PrimedFreelists() { release(); }
-
-    PrimedFreelists(const PrimedFreelists&) = delete;
-    PrimedFreelists& operator=(const PrimedFreelists&) = delete;
-    PrimedFreelists(PrimedFreelists&& other) noexcept { swap(other); }
-    PrimedFreelists& operator=(PrimedFreelists&& other) noexcept {
-      PrimedFreelists tmp(std::move(other));
-      swap(tmp);
-      return *this;
-    }
-    void swap(PrimedFreelists& other) noexcept {
-      blocks_.swap(other.blocks_);
-      std::swap(cells_, other.cells_);
-    }
-
-   private:
-    friend class BufferPool;
-    void release() noexcept;
-
-    std::array<std::vector<void*>, kNumClasses> blocks_{};
-    RefCell* cells_ = nullptr;
   };
 
   BufferPool() = default;
@@ -175,25 +122,8 @@ class BufferPool {
     return alloc_trap_in_ != 0;
   }
 
-  /// Snapshot view of the freelists (see FreelistShape).
-  [[nodiscard]] FreelistShape freelist_shape() const;
-
-  /// Restore `stats` and re-warm the freelists by adopting `primed`'s
-  /// pre-allocated storage (existing parked storage is released first, so
-  /// repeated restores don't accumulate).  Allocation-free and no-throw:
-  /// the caller builds the PrimedFreelists during its staging phase, where
-  /// bad_alloc can still surface with the pool untouched.  Requires an idle
-  /// pool: bytes_in_use and cells_in_use must be zero both live and in
-  /// `stats` — the snapshot layer validates and traps before calling.
-  /// bytes_cached is recomputed from the blocks actually adopted.  Clears
-  /// the debug thread binding, so the restored pool re-binds to whichever
-  /// hart touches it next (the same drained-pool handoff rule as fork-join).
-  void restore_freelists(const Stats& stats, PrimedFreelists&& primed) noexcept;
-
  private:
   static constexpr std::size_t kHeaderBytes = 16;
-  // Every class from kMinClass up can hold a header; the snapshot loader
-  // relies on this when it rejects smaller serialized class indices.
   static_assert(kMinBlockBytes >= kHeaderBytes);
 
   [[nodiscard]] static unsigned class_for(std::size_t payload_bytes) noexcept {

@@ -141,29 +141,24 @@ class VRegFileModel {
     reloads_ += reloads;
   }
 
-  /// Counters that survive across kernels, as one value for snapshot/restore
-  /// (src/snap).  The live-value set is *not* part of this: kernels release
-  /// every value on return, so both snapshot and restore require
-  /// live_values() == 0 (the snapshot layer validates and traps first).
+  /// The statistics a snapshot carries (src/snap), as one value.  The LRU
+  /// clock, value ids and live-value set are allocator state, not carried:
+  /// kernels release every value on return, so both snapshot and restore
+  /// require live_values() == 0 (the snapshot layer validates and traps
+  /// first).
   struct Telemetry {
     std::uint64_t spills = 0;
     std::uint64_t reloads = 0;
-    std::uint64_t clock = 0;
-    std::uint64_t inst_seq = 0;
-    ValueId next_id = 1;
     unsigned peak_regs = 0;
   };
   [[nodiscard]] Telemetry telemetry() const noexcept {
-    return Telemetry{spills_, reloads_, clock_, inst_seq_, next_id_, peak_regs_};
+    return Telemetry{spills_, reloads_, peak_regs_};
   }
   void restore_telemetry(const Telemetry& t) noexcept {
     assert(live_values() == 0 &&
            "VRegFileModel::restore_telemetry with live values");
     spills_ = t.spills;
     reloads_ = t.reloads;
-    clock_ = t.clock;
-    inst_seq_ = t.inst_seq;
-    next_id_ = t.next_id;
     peak_regs_ = t.peak_regs;
   }
 

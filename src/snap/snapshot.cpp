@@ -10,7 +10,6 @@
 #include <new>
 #include <utility>
 
-#include "rvv/decode.hpp"
 #include "sim/trap.hpp"
 #include "tune/shape.hpp"
 
@@ -22,12 +21,9 @@ constexpr std::array<std::uint8_t, 8> kMagic{'R', 'V', 'V', 'S',
 constexpr std::size_t kHeaderBytes = kMagic.size() + 4 + 4 + 4 + 4;
 constexpr std::size_t kSectionHeaderBytes = 4 + 8 + 4;
 
-/// Longest serialized op name / trace label the loader accepts.  Real names
-/// are short mnemonics; anything bigger is corruption.
-constexpr std::size_t kMaxString = 256;
-/// Hard ceiling on freelist bytes a restore will prime — a crafted snapshot
-/// must not be able to turn a restore into an allocation bomb.
-constexpr std::size_t kMaxPrimedBytes = std::size_t{1} << 31;
+/// Largest ledger total the loader accepts.  The service arms deadlines as
+/// counter().total() + remaining; a ledger past 2^63 could wrap that sum.
+constexpr std::uint64_t kMaxLedgerTotal = std::uint64_t{1} << 63;
 
 [[noreturn]] void fail(const std::string& detail) {
   TrapContext ctx;
@@ -71,11 +67,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) {
       out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
-  }
-  void str(const std::string& s) {
-    if (s.size() > kMaxString) fail("serializing over-long name");
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
   }
   void counts(const sim::CountSnapshot& c) {
     u32(static_cast<std::uint32_t>(sim::kNumInstClasses));
@@ -131,21 +122,17 @@ class Reader {
     if (v > 1) fail("boolean field out of range");
     return v != 0;
   }
-  [[nodiscard]] std::string str() {
-    const std::uint32_t len = u32();
-    if (len > kMaxString) fail("name length out of range");
-    need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return s;
-  }
   [[nodiscard]] sim::CountSnapshot counts() {
     if (u32() != sim::kNumInstClasses) {
       fail("instruction-class count mismatch");
     }
     sim::InstCounter scratch;
+    std::uint64_t total = 0;
     for (std::size_t i = 0; i < sim::kNumInstClasses; ++i) {
-      scratch.add(static_cast<sim::InstClass>(i), u64());
+      const std::uint64_t n = u64();
+      if (n > kMaxLedgerTotal - total) fail("ledger total exceeds 2^63");
+      total += n;
+      scratch.add(static_cast<sim::InstClass>(i), n);
     }
     return scratch.snapshot();
   }
@@ -257,20 +244,9 @@ struct SectionView {
 struct MachineImage {
   rvv::Machine::Config config;
   sim::CountSnapshot counter;
-  rvv::Machine::VsetMemo memo;
-  bool has_regfile = false;
+  /// Present iff config.model_register_pressure.
   sim::VRegFileModel::Telemetry regfile;
-  sim::BufferPool::Stats pool_stats;
-  sim::BufferPool::FreelistShape freelist;
-  /// Freelist storage pre-allocated by stage_freelists() once validation has
-  /// passed, so apply_machine adopts it without allocating (move-only).
-  sim::BufferPool::PrimedFreelists primed;
-  rvv::ExecCacheStats cache_stats;
-  std::vector<rvv::PortableDecodedOp> decoded;
-  std::vector<rvv::PortableTrace> traces;
 };
-
-constexpr std::uint32_t kCacheStatFields = 11;
 
 [[nodiscard]] Blob encode_machine(rvv::Machine& m) {
   const sim::BufferPool::Stats& ps = m.pool_stats();
@@ -287,83 +263,11 @@ constexpr std::uint32_t kCacheStatFields = 11;
   w.u8(cfg.model_register_pressure ? 1 : 0);
   w.u8(cfg.use_exec_cache ? 1 : 0);
   w.counts(m.counter().snapshot());
-  const rvv::Machine::VsetMemo memo = m.vset_memo();
-  w.u32(memo.sew_bits);
-  w.u32(memo.lmul);
-  w.u64(memo.vlmax);
-
-  w.u8(m.regfile() != nullptr ? 1 : 0);
   if (m.regfile() != nullptr) {
     const sim::VRegFileModel::Telemetry t = m.regfile()->telemetry();
     w.u64(t.spills);
     w.u64(t.reloads);
-    w.u64(t.clock);
-    w.u64(t.inst_seq);
-    w.u64(t.next_id);
     w.u32(t.peak_regs);
-  }
-
-  w.u64(ps.block_acquires);
-  w.u64(ps.block_reuses);
-  w.u64(ps.cell_acquires);
-  w.u64(ps.cell_reuses);
-  w.u64(ps.cells_in_use);
-  w.u64(ps.bytes_in_use);
-  w.u64(ps.peak_bytes_in_use);
-  w.u64(ps.bytes_cached);
-  const sim::BufferPool::FreelistShape shape = m.pool().freelist_shape();
-  w.u32(static_cast<std::uint32_t>(shape.blocks.size()));
-  for (const auto& [cls, count] : shape.blocks) {
-    w.u32(cls);
-    w.u32(count);
-  }
-  w.u64(shape.cells);
-
-  const rvv::ExecCacheStats& cs = m.exec_cache().stats();
-  w.u32(kCacheStatFields);
-  w.u64(cs.decode_hits);
-  w.u64(cs.decode_misses);
-  w.u64(cs.trace_records);
-  w.u64(cs.trace_promotions);
-  w.u64(cs.trace_replays);
-  w.u64(cs.trace_fused);
-  w.u64(cs.trace_aborts);
-  w.u64(cs.trace_poisons);
-  w.u64(cs.ops_replayed);
-  w.u64(cs.invalidations);
-  w.u64(cs.trace_adoptions);
-
-  const std::vector<rvv::PortableDecodedOp> decoded =
-      m.exec_cache().export_decoded();
-  w.u32(static_cast<std::uint32_t>(decoded.size()));
-  for (const rvv::PortableDecodedOp& op : decoded) {
-    w.str(op.name);
-    w.u8(static_cast<std::uint8_t>(op.cls));
-    w.u32(op.sew_bits);
-    w.u32(op.lmul);
-    w.u8(op.masked ? 1 : 0);
-    w.u64(op.vlmax);
-    w.u64(op.executions);
-  }
-
-  const std::vector<rvv::PortableTrace> traces = m.exec_cache().export_traces();
-  w.u32(static_cast<std::uint32_t>(traces.size()));
-  for (const rvv::PortableTrace& t : traces) {
-    w.str(t.label);
-    w.u64(t.vl);
-    w.u32(t.sew_bits);
-    w.u32(t.lmul);
-    w.counts(t.iter_total);
-    w.u64(t.replays);
-    w.u32(static_cast<std::uint32_t>(t.entries.size()));
-    for (const rvv::PortableTraceEntry& e : t.entries) {
-      w.str(e.name);
-      w.u64(e.meta);
-      w.u64(e.vl);
-      w.counts(e.delta);
-      w.u64(e.spill_events);
-      w.u64(e.reload_events);
-    }
   }
   return w.take();
 }
@@ -380,118 +284,13 @@ constexpr std::uint32_t kCacheStatFields = 11;
   img.config.model_register_pressure = r.boolean();
   img.config.use_exec_cache = r.boolean();
   img.counter = r.counts();
-  img.memo.sew_bits = r.u32();
-  img.memo.lmul = r.u32();
-  img.memo.vlmax = static_cast<std::size_t>(r.u64());
-  if (img.memo.sew_bits > 64 || img.memo.lmul > 8) fail("vsetvl memo corrupt");
-
-  img.has_regfile = r.boolean();
-  if (img.has_regfile != img.config.model_register_pressure) {
-    fail("register-file presence contradicts configuration");
-  }
-  if (img.has_regfile) {
+  if (img.config.model_register_pressure) {
     img.regfile.spills = r.u64();
     img.regfile.reloads = r.u64();
-    img.regfile.clock = r.u64();
-    img.regfile.inst_seq = r.u64();
-    img.regfile.next_id = r.u64();
     img.regfile.peak_regs = r.u32();
-    if (img.regfile.peak_regs > 64) fail("register high-water out of range");
-  }
-
-  img.pool_stats.block_acquires = r.u64();
-  img.pool_stats.block_reuses = r.u64();
-  img.pool_stats.cell_acquires = r.u64();
-  img.pool_stats.cell_reuses = r.u64();
-  img.pool_stats.cells_in_use = r.u64();
-  img.pool_stats.bytes_in_use = static_cast<std::size_t>(r.u64());
-  img.pool_stats.peak_bytes_in_use = static_cast<std::size_t>(r.u64());
-  img.pool_stats.bytes_cached = static_cast<std::size_t>(r.u64());
-  if (img.pool_stats.bytes_in_use != 0 || img.pool_stats.cells_in_use != 0) {
-    fail("snapshot captured a pool with buffers in flight");
-  }
-  const std::size_t freelist_classes = r.vec_count(8);
-  std::size_t primed_bytes = 0;
-  for (std::size_t i = 0; i < freelist_classes; ++i) {
-    const std::uint32_t cls = r.u32();
-    const std::uint32_t count = r.u32();
-    // Both ends matter: a class below kMinClass names a block too small to
-    // hold the BlockHeader the pool writes into every primed block, so it
-    // must be rejected here, before any allocation happens.
-    if (cls < sim::BufferPool::kMinClass ||
-        cls >= sim::BufferPool::kNumClasses) {
-      fail("freelist class out of range");
+    if (img.regfile.peak_regs > sim::VRegFileModel::kNumRegs) {
+      fail("register high-water out of range");
     }
-    // Shift-then-multiply can wrap for large classes; bound the count first.
-    if (count != 0 && (kMaxPrimedBytes >> cls) < count) {
-      fail("freelist shape too large");
-    }
-    primed_bytes += (std::size_t{1} << cls) * count;
-    if (primed_bytes > kMaxPrimedBytes) fail("freelist shape too large");
-    img.freelist.blocks.emplace_back(cls, count);
-  }
-  img.freelist.cells = r.u64();
-  if (img.freelist.cells > (std::size_t{1} << 24)) {
-    fail("freelist cell count out of range");
-  }
-
-  if (r.u32() != kCacheStatFields) fail("exec-cache stat count mismatch");
-  img.cache_stats.decode_hits = r.u64();
-  img.cache_stats.decode_misses = r.u64();
-  img.cache_stats.trace_records = r.u64();
-  img.cache_stats.trace_promotions = r.u64();
-  img.cache_stats.trace_replays = r.u64();
-  img.cache_stats.trace_fused = r.u64();
-  img.cache_stats.trace_aborts = r.u64();
-  img.cache_stats.trace_poisons = r.u64();
-  img.cache_stats.ops_replayed = r.u64();
-  img.cache_stats.invalidations = r.u64();
-  img.cache_stats.trace_adoptions = r.u64();
-
-  const std::size_t decoded_count = r.vec_count(4 + 1 + 4 + 4 + 1 + 8 + 8);
-  img.decoded.reserve(decoded_count);
-  for (std::size_t i = 0; i < decoded_count; ++i) {
-    rvv::PortableDecodedOp op;
-    op.name = r.str();
-    const std::uint8_t cls = r.u8();
-    if (cls >= sim::kNumInstClasses) fail("decoded-op class out of range");
-    op.cls = static_cast<sim::InstClass>(cls);
-    op.sew_bits = r.u32();
-    op.lmul = r.u32();
-    op.masked = r.boolean();
-    op.vlmax = static_cast<std::size_t>(r.u64());
-    op.executions = r.u64();
-    if (op.sew_bits > 64 || op.lmul > 8) fail("decoded-op shape corrupt");
-    img.decoded.push_back(std::move(op));
-  }
-
-  const std::size_t trace_count = r.vec_count(4 + 8 + 4 + 4 + 4 + 8 + 4);
-  img.traces.reserve(trace_count);
-  for (std::size_t i = 0; i < trace_count; ++i) {
-    rvv::PortableTrace t;
-    t.label = r.str();
-    t.vl = static_cast<std::size_t>(r.u64());
-    t.sew_bits = r.u32();
-    t.lmul = r.u32();
-    if (t.sew_bits > 64 || t.lmul == 0 || t.lmul > 8) fail("trace shape corrupt");
-    t.iter_total = r.counts();
-    t.replays = r.u64();
-    const std::size_t entry_count = r.vec_count(4 + 8 + 8 + 4 + 8 + 8);
-    if (entry_count > rvv::ExecCache::kMaxTraceOps) {
-      fail("trace body exceeds the op cap");
-    }
-    t.entries.reserve(entry_count);
-    for (std::size_t j = 0; j < entry_count; ++j) {
-      rvv::PortableTraceEntry e;
-      e.name = r.str();
-      e.meta = r.u64();
-      e.vl = static_cast<std::size_t>(r.u64());
-      e.delta = r.counts();
-      e.spill_events = r.u64();
-      e.reload_events = r.u64();
-      t.entries.push_back(std::move(e));
-    }
-    img.traces.push_back(std::move(t));
   }
   r.expect_end();
   return img;
@@ -521,35 +320,16 @@ void validate_quiescent(rvv::Machine& m) {
   }
 }
 
-/// The staging half of a restore: pre-allocate the freelist storage
-/// apply_machine will adopt.  This is the only allocating step between
-/// validation and apply, so it runs before any target mutates — a bad_alloc
-/// here leaves the target untouched and surfaces as the documented typed
-/// trap instead of escaping raw.
-void stage_freelists(MachineImage& img) {
-  try {
-    img.primed = sim::BufferPool::PrimedFreelists(img.freelist);
-  } catch (const std::bad_alloc&) {
-    fail("out of memory priming freelists");
-  }
-}
-
-/// The mutation half of a restore.  Everything was validated and every
-/// allocation was staged (stage_freelists); from here on nothing can throw.
-/// Routes through invalidate_exec_caches() first — the single invalidation
-/// path — so the reconfigure epoch bumps and every derived cache (decoded
-/// ops, traces, tuned configs via the reconfigure hook) drops before the
-/// restored state lands.
-void apply_machine(rvv::Machine& m, MachineImage&& img) {
+/// The mutation half of a restore.  Everything was validated before this
+/// runs, and it allocates nothing, so nothing here can throw.  Routes
+/// through invalidate_exec_caches() first — the single invalidation path —
+/// so the reconfigure epoch bumps and every derived cache (vsetvl memo,
+/// decoded ops, traces, tuned configs via the reconfigure hook) drops
+/// before the restored state lands.
+void apply_machine(rvv::Machine& m, const MachineImage& img) noexcept {
   m.invalidate_exec_caches();
   m.counter().restore(img.counter);
-  m.restore_vset_memo(img.memo);
-  if (m.regfile() != nullptr && img.has_regfile) {
-    m.regfile()->restore_telemetry(img.regfile);
-  }
-  m.pool().restore_freelists(img.pool_stats, std::move(img.primed));
-  m.exec_cache().install_pending(std::move(img.decoded), std::move(img.traces),
-                                 img.cache_stats);
+  if (m.regfile() != nullptr) m.regfile()->restore_telemetry(img.regfile);
 }
 
 // --- Tuner section codec ---------------------------------------------------
@@ -662,11 +442,9 @@ void restore_machine(rvv::Machine& m, const Blob& blob, tune::AutoTuner* tuner) 
   if (!have_machine) fail("no machine section");
   validate_target(m, img);
   validate_quiescent(m);
-  stage_freelists(img);
-  // Validation and staging complete; apply cannot throw.  The epoch bump
-  // happens inside apply_machine, so the tuner import below lands on the
-  // new epoch.
-  apply_machine(m, std::move(img));
+  // Validation complete; apply cannot throw.  The epoch bump happens inside
+  // apply_machine, so the tuner import below lands on the new epoch.
+  apply_machine(m, img);
   if (tuner != nullptr && have_tuner) tuner->import_winners(winners);
 }
 
@@ -733,11 +511,10 @@ void restore_pool(par::HartPool& pool, const Blob& blob, tune::AutoTuner* tuner)
     validate_target(pool.machine(0), machines.back());
   }
 
-  // Staging: every allocation the apply loop needs happens here, before
+  // Staging: the one allocation the apply loop needs happens here, before
   // any machine mutates.  Materializing a missing rescue machine is the
   // last step that can fail; a fresh rescue is quiescent and zero-count,
   // so the pool is observationally unchanged if nothing else has run.
-  for (MachineImage& img : machines) stage_freelists(img);
   rvv::Machine* rescue_target = nullptr;
   if (info.has_rescue) {
     try {
@@ -748,10 +525,10 @@ void restore_pool(par::HartPool& pool, const Blob& blob, tune::AutoTuner* tuner)
   }
 
   for (unsigned h = 0; h < info.harts; ++h) {
-    apply_machine(pool.machine(h), std::move(machines[h]));
+    apply_machine(pool.machine(h), machines[h]);
   }
   if (rescue_target != nullptr) {
-    apply_machine(*rescue_target, std::move(machines.back()));
+    apply_machine(*rescue_target, machines.back());
   } else if (rvv::Machine* rescue = pool.rescue_machine()) {
     // The live pool grew a rescue machine the snapshot never saw: zero it
     // so merged_counts() matches the snapshotted pool exactly.

@@ -1,50 +1,50 @@
-// Machine snapshot/restore — instant warm starts for the emulator stack.
+// Machine snapshot/restore — warm starts for the emulator stack.
 //
-// A configured rvv::Machine is expensive to warm: the vsetvl memo, the
-// decoded-op table, the stable strip-mine traces (PR 6) and the autotuner's
-// measured-config cache (PR 8) are all built by *running kernels*.  The
-// serve daemon pays that cost on every cold start and the chaos suite pays
-// it again after every injected fault, replaying the golden script to get
-// back to a known state.  This module serializes the whole warm state to a
-// versioned, checksummed binary blob and restores it into a machine that is
-// bit-identical in data and instruction counts to the original
-// (ROADMAP's snapshot/restore item, grounded in libriscv's
-// decoder_cache_serialize).
+// The paper's metric is the dynamic instruction count, so a restarted
+// machine needs exactly three things to carry on where it stopped: the
+// counter ledger, the configuration that keys it, and the autotuner's
+// measured-config winners (a tuner miss re-measures up to four candidate
+// LMULs on scratch machines).  This module serializes those to a
+// versioned, checksummed binary blob and restores them into a machine of
+// the same configuration, which then charges exactly what the original
+// would for every later kernel.  The serve daemon cold-starts from one;
+// the chaos suite rolls back to one instead of replaying a golden script.
 //
 // What a snapshot carries:
 //   * machine configuration (VLEN, pressure mode, exec cache) —
 //     compared against the restore target, never applied to it;
-//   * the instruction-count ledger (per-class counter) and the vsetvl memo;
-//   * register-file telemetry (spill/reload counters, LRU clock, value ids);
-//   * buffer-pool statistics and freelist shape (restored pools come up with
-//     their caches pre-warmed to the same size classes);
-//   * the decoded-op dispatch table and every stable strip-mine trace, as
-//     *content* (names and labels are process-local pointers, so restored
-//     entries park as pending state inside the ExecCache and are adopted by
-//     live execution — see ExecCache::install_pending);
+//   * the instruction-count ledger (per-class counter);
+//   * the register file's spill, reload and peak-register statistics, so
+//     spill_count()/reload_count() stay consistent with the ledger;
 //   * the autotuner's measured-config winners (shared cache: serialized once
 //     per snapshot, not per hart).
+// Host-side caches — the vsetvl memo, the decoded-op table, strip-mine
+// traces, buffer-pool freelists — are not carried.  Counts never depend on
+// them, so a restored machine simply rebuilds them during its first calls.
 //
 // Restore discipline (validate-then-charge, applied to deserialization):
 // the entire blob is parsed and validated — magic, version, per-section
 // CRC32, field ranges, configuration match, target-machine preconditions
 // (every hart AND the live rescue machine for pools) — before one byte of
-// machine state mutates.  A staging step then performs every allocation the
-// apply needs (freelist storage, a missing rescue machine), so the apply
-// phase itself is no-throw: even std::bad_alloc surfaces as a typed trap
-// with the target untouched.  Any failure raises
-// rvvsvm::SnapshotTrap and leaves the target exactly as it was.  A restore
-// that proceeds first routes through Machine::invalidate_exec_caches(), the
-// single invalidation path shared with reconfiguration: it drops all three
-// derived caches (decoded ops, traces, tuned configs) and bumps the
-// reconfigure epoch, so stale cross-machine state can never replay.  The
-// tuner import happens after the bump and syncs to the new epoch.
+// machine state mutates.  A staging step then performs the one allocation
+// the apply can need (a missing rescue machine), so the apply phase itself
+// is no-throw: even std::bad_alloc surfaces as a typed trap with the target
+// untouched.  Any failure raises rvvsvm::SnapshotTrap and leaves the
+// target exactly as it was.  A restore that proceeds first routes through
+// Machine::invalidate_exec_caches(), the single invalidation path shared
+// with reconfiguration: it drops every derived cache (vsetvl memo, decoded
+// ops, traces, tuned configs) and bumps the reconfigure epoch, so stale
+// cross-machine state can never replay.  The tuner import happens after
+// the bump and syncs to the new epoch.
 //
 // Container format (all integers little-endian; DESIGN.md §11):
 //
 //   magic "RVVSNAP\0" | u32 version | u32 flags | u32 section_count
 //   | u32 header_crc | sections...
 //   section: u32 id | u64 payload_size | u32 payload_crc | payload bytes
+//   machine payload: u32 vlen | u8 pressure | u8 exec_cache
+//   | u32 class_count | u64 count per class
+//   | u64 spills | u64 reloads | u32 peak_regs   (pressure model on only)
 //
 // Sections appear in order: one kSectionPool (pool snapshots only), one
 // kSectionMachine per machine (hart order, rescue machine last when the
@@ -63,8 +63,10 @@
 namespace rvvsvm::snap {
 
 /// Bumped whenever the layout changes; loaders reject other versions.
-/// Version 2 dropped the machine section's buffer-pool mode byte.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// Version 2 dropped the machine section's buffer-pool mode byte; version 3
+/// cut the machine section to the config, the ledger and the register-file
+/// statistics.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section identifiers (stable: new sections append).
 inline constexpr std::uint32_t kSectionPool = 1;
@@ -82,9 +84,9 @@ using Blob = std::vector<std::uint8_t>;
 /// Validate `blob` end to end, then restore it into `m` (and import the
 /// tuner section into `tuner` when non-null).  SnapshotTrap on any
 /// corruption, version/config mismatch, or non-quiescent target; the target
-/// is untouched on failure.  On success the machine's counter, memo,
-/// register-file telemetry, pool freelists and cache stats equal the
-/// saved machine's, and the cache content is parked for live adoption.
+/// is untouched on failure.  On success the machine's counter and
+/// register-file statistics equal the saved machine's and its execution
+/// caches are empty.
 void restore_machine(rvv::Machine& m, const Blob& blob,
                      tune::AutoTuner* tuner = nullptr);
 

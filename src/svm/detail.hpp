@@ -58,7 +58,7 @@ template <class T>
 template <rvv::VectorElement T, unsigned LMUL, class Body>
 void stripmine(std::size_t n, unsigned pointer_bumps, Body body) {
   rvv::Machine& m = rvv::Machine::active();
-  static const rvv::TraceSite site{"stripmine"};
+  static const rvv::TraceSite site{};
   m.scalar().charge(sim::kKernelPrologue);
   std::size_t pos = 0;
   while (n > 0) {
@@ -118,7 +118,7 @@ template <rvv::VectorElement T, unsigned LMUL, class Body, class Fused,
 void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
                Fusable fusable = {}) {
   rvv::Machine& m = rvv::Machine::active();
-  static const rvv::TraceSite site{"stripmine"};
+  static const rvv::TraceSite site{};
   const sim::ScalarCost step = sim::stripmine_iteration(pointer_bumps);
   m.scalar().charge(sim::kKernelPrologue);
   std::size_t pos = 0;

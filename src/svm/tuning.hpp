@@ -60,24 +60,27 @@ struct TuneScratch {
   std::vector<T> a, b, c;
 };
 
-/// The tuned LMUL for one kernel call.  `measure(lc, scratch)` must run the
-/// kernel at the compile-time LMUL `lc` on the scratch operands; it is
-/// invoked once per surviving candidate, each time on a fresh scratch
-/// machine cloned from the caller's active machine shape.
+/// The tuned LMUL for one kernel call (or one par:: collective).  The key
+/// takes VLEN from `like` and its hart count from `harts`; `n` is the size
+/// the key buckets on, and the candidates are measured at that bucket's
+/// representative size.  `measure(lc, scratch)` must run the kernel at the
+/// compile-time LMUL `lc` on the scratch operands; it is invoked once per
+/// surviving candidate, each time on a fresh scratch machine cloned from
+/// `like`'s shape.
 template <rvv::VectorElement T, class Measure>
-[[nodiscard]] unsigned tuned_lmul(tune::Shape shape, std::size_t n,
+[[nodiscard]] unsigned tuned_lmul(rvv::Machine& like, unsigned harts,
+                                  tune::Shape shape, std::size_t n,
                                   Measure&& measure) {
   tune::AutoTuner& tuner = tune::AutoTuner::active();
   if (n == 0 || !tuner.enabled()) return 1;
-  rvv::Machine& m = rvv::Machine::active();
   const tune::Key key{.shape = shape,
                       .bucket = tune::n_bucket(n),
                       .sew = rvv::kSewBits<T>,
-                      .vlen = m.vlen_bits(),
-                      .harts = 1};
+                      .vlen = like.vlen_bits(),
+                      .harts = harts};
   const rvv::Machine::Config scratch_cfg{
-      .vlen_bits = m.vlen_bits(),
-      .model_register_pressure = m.regfile() != nullptr,
+      .vlen_bits = like.vlen_bits(),
+      .model_register_pressure = like.regfile() != nullptr,
       // Counts are bit-identical with the cache on or off (the trace fuzz
       // layer pins this); off keeps each measurement run self-contained.
       .use_exec_cache = false};
@@ -90,12 +93,14 @@ template <rvv::VectorElement T, class Measure>
   });
 }
 
-/// Head of every tuned kernel: pick the LMUL, then run `run(lc)` at it.
-/// Forwards run's return value (reduce returns T, split/pack return counts).
+/// Head of every tuned kernel: pick the LMUL for one hart on the active
+/// machine, then run `run(lc)` at it.  Forwards run's return value (reduce
+/// returns T, split/pack return counts).
 template <rvv::VectorElement T, class Measure, class Run>
 decltype(auto) tuned_run(tune::Shape shape, std::size_t n, Measure&& measure,
                          Run&& run) {
-  return with_lmul(tuned_lmul<T>(shape, n, std::forward<Measure>(measure)),
+  return with_lmul(tuned_lmul<T>(rvv::Machine::active(), 1, shape, n,
+                                 std::forward<Measure>(measure)),
                    std::forward<Run>(run));
 }
 

@@ -496,7 +496,7 @@ TEST(FuzzOracle, ShrinkerPreservesFailureAndShrinks) {
 // --- pinned snapshot-layer cases (svm_fuzz --layer snap) --------------------
 
 // Empty problem: a machine that never ran a kernel still round-trips with an
-// empty-but-valid cache image and a tuner section with zero winners.
+// all-zero ledger and a tuner section with zero winners.
 TEST(FuzzRegressions, SnapRoundTripEmptyMachine) {
   check::Case c;
   c.vlen = 1024;

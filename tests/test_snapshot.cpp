@@ -4,7 +4,8 @@
 // stale pre-restore caches from replaying, and — the corruption-robustness
 // suite — a sweep that truncates a snapshot at every byte boundary and
 // flips every bit, requiring a typed SnapshotTrap and an untouched target
-// machine for each corruption.
+// machine for each corruption, plus a sweep that patches every field of the
+// machine section behind a re-sealed CRC.
 //
 // The snap fuzz layer (src/check/properties_snap.cpp) covers the same
 // contracts over random shapes; these tests pin each mechanism exactly.
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -154,15 +156,12 @@ TEST(SnapshotMachine, WarmedMachineRoundTripBitIdentical) {
   snap::restore_machine(b, blob);
   expect_same_counts(b.counter().snapshot(), a.counter().snapshot(),
                      "restored ledger");
-  EXPECT_GT(b.exec_cache().pending_trace_count() +
-                b.exec_cache().pending_decoded_count(),
-            0u)
-      << "a warmed snapshot should park cache content for adoption";
+  EXPECT_EQ(b.exec_cache().trace_count(), 0u)
+      << "a snapshot carries no execution-cache content";
 
-  // The restored machine reruns the kernel bit-identically in counts, and
-  // the parked trace is adopted (stable after its first live recording).
+  // The restored machine reruns the kernel bit-identically in counts: it
+  // records its traces afresh, which charges exactly what replay does.
   expect_same_counts(run_once(b), run_once(a), "rerun");
-  EXPECT_GT(b.exec_cache().stats().trace_adoptions, 0u);
   expect_same_counts(run_once(b), run_once(a), "second rerun");
 }
 
@@ -255,7 +254,7 @@ TEST(SnapshotEpoch, RestoreInvalidatesPreRestoreState) {
   snap::restore_machine(target, blob);
 
   // The restore went through the single invalidation path: epoch bumped,
-  // live caches dropped (snapshot content is parked, not live).
+  // live caches dropped.
   EXPECT_GT(rvv::reconfigure_epoch(), epoch_before);
   EXPECT_GT(target.exec_cache().stats().invalidations, invalidations_before);
   EXPECT_EQ(target.exec_cache().trace_count(), 0u);
@@ -374,8 +373,8 @@ TEST(SnapshotCorruption, HeaderPayloadBitFlipsOnWarmSnapshot) {
 //
 // The sweeps above are caught by the section CRCs, which anyone producing a
 // snapshot file can recompute — so the field-range validation behind the
-// CRCs must hold on CRC-valid input too.  These helpers re-derive enough of
-// the version-2 layout (DESIGN.md §11) to patch one field and fix the CRC.
+// CRCs must hold on CRC-valid input too.  These helpers re-derive the
+// version-3 layout (DESIGN.md §11) to patch one field and fix the CRC.
 
 u32 crc32_ieee(const std::uint8_t* data, std::size_t size) {
   u32 crc = 0xFFFFFFFFu;
@@ -394,8 +393,9 @@ u32 u32_at(const snap::Blob& blob, std::size_t off) {
   return v;
 }
 
-void put_u32(snap::Blob& blob, std::size_t off, u32 v) {
-  for (std::size_t i = 0; i < 4; ++i) {
+/// Write the low `width` bytes of `v` at `off`, little-endian.
+void put_le(snap::Blob& blob, std::size_t off, std::size_t width, u64 v) {
+  for (std::size_t i = 0; i < width; ++i) {
     blob[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
@@ -429,28 +429,51 @@ std::vector<SectionRef> section_refs(const snap::Blob& blob) {
 }
 
 void fix_section_crc(snap::Blob& blob, const SectionRef& ref) {
-  put_u32(blob, ref.header + 12, crc32_ieee(blob.data() + ref.payload, ref.size));
+  put_le(blob, ref.header + 12, 4,
+         crc32_ieee(blob.data() + ref.payload, ref.size));
 }
 
-/// Offset, within a machine-section, of the freelist table's entry count.
-std::size_t freelist_count_offset(const snap::Blob& blob,
-                                  const SectionRef& sec) {
-  std::size_t off = sec.payload;
-  off += 4 + 2;                         // VLEN + two config flags
-  off += 4 + sim::kNumInstClasses * 8;  // counter ledger
-  off += 4 + 4 + 8;                     // vsetvl memo
-  const bool has_regfile = blob[off] != 0;
-  off += 1;
-  if (has_regfile) off += 5 * 8 + 4;    // register-file telemetry
-  off += 8 * 8;                         // buffer-pool stats
-  return off;
+/// One field of a version-3 machine section: offset within the payload and
+/// width in bytes.
+struct Field {
+  std::string name;
+  std::size_t offset = 0;
+  std::size_t width = 0;
+};
+
+/// Every field of a machine section written with the pressure model on, in
+/// payload order.
+std::vector<Field> machine_fields() {
+  std::vector<Field> fields;
+  std::size_t off = 0;
+  const auto add = [&](std::string name, std::size_t width) {
+    fields.push_back(Field{std::move(name), off, width});
+    off += width;
+  };
+  add("vlen", 4);
+  add("pressure flag", 1);
+  add("exec-cache flag", 1);
+  add("class count", 4);
+  for (std::size_t k = 0; k < sim::kNumInstClasses; ++k) {
+    add("ledger " +
+            std::string(sim::to_string(static_cast<sim::InstClass>(k))),
+        8);
+  }
+  add("spills", 8);
+  add("reloads", 8);
+  add("peak registers", 4);
+  return fields;
 }
+
+/// A machine section's ledger starts after VLEN, two flags and the class
+/// count.
+constexpr std::size_t kLedgerOffset = 4 + 1 + 1 + 4;
 
 /// Set the container's version field and re-seal the header CRC, so the
 /// version check alone decides.
 void set_version(snap::Blob& blob, u32 version) {
-  put_u32(blob, 8, version);
-  put_u32(blob, 20, crc32_ieee(blob.data(), 20));
+  put_le(blob, 8, 4, version);
+  put_le(blob, 20, 4, crc32_ieee(blob.data(), 20));
 }
 
 TEST(SnapshotFormat, WrongVersionRejected) {
@@ -460,61 +483,193 @@ TEST(SnapshotFormat, WrongVersionRejected) {
   rvv::Machine target({.vlen_bits = 128});
   EXPECT_THROW(snap::restore_machine(target, blob), SnapshotTrap);
 
-  // A file written before the version bump, with an intact header CRC: the
+  // Files written before each version bump, with an intact header CRC: the
   // trap names both versions and the target keeps its counts.
   rvv::Machine source({.vlen_bits = 128});
   warm(source);
-  snap::Blob old = snap::save_machine(source);
-  set_version(old, 1);
   warm(target);
   const sim::CountSnapshot before = target.counter().snapshot();
-  const std::string want = "unsupported version 1 (this build reads version " +
-                           std::to_string(snap::kFormatVersion) + ")";
-  try {
-    snap::restore_machine(target, old);
-    ADD_FAILURE() << "version-1 snapshot was accepted";
-  } catch (const SnapshotTrap& e) {
-    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  for (const u32 version : {1u, 2u}) {
+    snap::Blob old = snap::save_machine(source);
+    set_version(old, version);
+    const std::string want = "unsupported version " + std::to_string(version) +
+                             " (this build reads version " +
+                             std::to_string(snap::kFormatVersion) + ")";
+    try {
+      snap::restore_machine(target, old);
+      ADD_FAILURE() << "version-" << version << " snapshot was accepted";
+    } catch (const SnapshotTrap& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    expect_same_counts(target.counter().snapshot(), before,
+                       "target after old-version restore");
   }
-  expect_same_counts(target.counter().snapshot(), before,
-                     "target after version-1 restore");
 }
 
-TEST(SnapshotCorruption, CrcValidFreelistClassOutOfRangeRejected) {
-  // A freelist class below kMinClass names a block too small for the pool's
-  // BlockHeader; accepting one would make restore write past the block.
-  rvv::Machine source({.vlen_bits = 128});
-  warm(source);  // parks recycled blocks: the freelist table is non-empty
-  const snap::Blob blob = snap::save_machine(source);
+/// What the field sweep compares after a restore that was accepted: the
+/// data and per-class count delta of plus_scan<u32, 1> followed by
+/// seg_plus_scan<u32, 8>, and the live values left behind.
+struct Probe {
+  std::vector<u32> scan;
+  std::vector<u32> seg;
+  sim::CountSnapshot delta;
+  unsigned live_values = 0;
+};
 
-  const std::vector<SectionRef> secs = section_refs(blob);
-  ASSERT_FALSE(secs.empty());
-  ASSERT_EQ(secs[0].id, snap::kSectionMachine);
-  const std::size_t count_off = freelist_count_offset(blob, secs[0]);
-  ASSERT_GT(u32_at(blob, count_off), 0u)
-      << "warmed machine should park at least one block";
-  // Guard against layout drift: the entry we are about to patch must hold a
-  // class the loader accepts, or the offsets above no longer line up.
-  const std::size_t cls_off = count_off + 4;
-  ASSERT_GE(u32_at(blob, cls_off), sim::BufferPool::kMinClass);
-  ASSERT_LT(u32_at(blob, cls_off), sim::BufferPool::kNumClasses);
+Probe probe(rvv::Machine& m) {
+  constexpr std::size_t kN = 1000;
+  Probe p;
+  p.scan = iota_data(kN);
+  p.seg = iota_data(kN);
+  std::vector<u32> flags(kN, 0);
+  for (std::size_t i = 0; i < kN; i += 97) flags[i] = 1;
+  rvv::MachineScope scope(m);
+  const sim::CountSnapshot pre = m.counter().snapshot();
+  svm::plus_scan<u32, 1>(std::span<u32>(p.scan));
+  svm::seg_plus_scan<u32, 8>(std::span<u32>(p.seg),
+                             std::span<const u32>(flags));
+  p.delta = m.counter().snapshot() - pre;
+  p.live_values = m.regfile()->live_values();
+  return p;
+}
 
-  rvv::Machine target({.vlen_bits = 128});
-  const sim::CountSnapshot before = target.counter().snapshot();
-  for (const u32 cls : {0u, 1u, sim::BufferPool::kMinClass - 1,
-                        sim::BufferPool::kNumClasses, 0xFFFFFFFFu}) {
-    snap::Blob bad = blob;
-    put_u32(bad, cls_off, cls);
-    fix_section_crc(bad, secs[0]);
-    EXPECT_THROW(snap::restore_machine(target, bad), SnapshotTrap)
-        << "freelist class " << cls << " was accepted";
+/// A machine whose snapshot has every field non-trivial: a non-zero ledger
+/// and, from LMUL 8 at VLEN 128, spills, reloads and a register peak.
+snap::Blob spilled_machine_blob(const rvv::Machine::Config& cfg) {
+  rvv::Machine source(cfg);
+  probe(source);
+  return snap::save_machine(source);
+}
+
+/// Restore `bad` into a target that has already run a kernel.  Returns the
+/// target when the restore was accepted, or nullptr when it trapped, after
+/// checking that the trap left the target's ledger and register-file
+/// statistics as they were.
+std::unique_ptr<rvv::Machine> restore_into_used_target(
+    const rvv::Machine::Config& cfg, const snap::Blob& bad,
+    const std::string& what) {
+  auto target = std::make_unique<rvv::Machine>(cfg);
+  warm(*target, 600);
+  const sim::CountSnapshot before = target->counter().snapshot();
+  const u64 spills = target->regfile()->spill_count();
+  const u64 reloads = target->regfile()->reload_count();
+  const unsigned peak = target->regfile()->peak_registers();
+  try {
+    snap::restore_machine(*target, bad);
+  } catch (const SnapshotTrap&) {
+    expect_same_counts(target->counter().snapshot(), before, what.c_str());
+    EXPECT_EQ(target->regfile()->spill_count(), spills) << what;
+    EXPECT_EQ(target->regfile()->reload_count(), reloads) << what;
+    EXPECT_EQ(target->regfile()->peak_registers(), peak) << what;
+    return nullptr;
   }
-  expect_same_counts(target.counter().snapshot(), before,
-                     "target after crafted freelist corruption");
-  // The pristine blob still restores.
-  snap::restore_machine(target, blob);
-  expect_same_counts(target.counter().snapshot(), source.counter().snapshot(),
-                     "restore after crafted corruption");
+  return target;
+}
+
+TEST(SnapshotCorruption, CrcValidMachineFieldSweep) {
+  // Every field of the machine section, patched to each boundary value with
+  // the section CRC re-sealed.  A restore must either trap with the target
+  // untouched, or yield a machine that behaves exactly like a fresh machine
+  // given the pristine snapshot: same data, same per-class counts, no value
+  // left live.
+  const rvv::Machine::Config cfg{.vlen_bits = 128,
+                                 .model_register_pressure = true};
+  const snap::Blob blob = spilled_machine_blob(cfg);
+  const std::vector<SectionRef> secs = section_refs(blob);
+  ASSERT_EQ(secs.size(), 1u);
+  ASSERT_EQ(secs[0].id, snap::kSectionMachine);
+  const std::vector<Field> fields = machine_fields();
+  ASSERT_EQ(fields.back().offset + fields.back().width, secs[0].size)
+      << "machine-section layout drifted from the field list";
+
+  rvv::Machine clean(cfg);
+  snap::restore_machine(clean, blob);
+  ASSERT_GT(clean.regfile()->spill_count(), 0u);
+  const Probe want = probe(clean);
+  ASSERT_GT(want.delta.count(sim::InstClass::kVectorSpill), 0u);
+
+  std::size_t trapped = 0;
+  std::size_t accepted = 0;
+  for (const Field& field : fields) {
+    for (const u64 value : {u64{0}, u64{1}, u64{2}, u64{0xFFFFFFFFu},
+                            ~u64{0}}) {
+      snap::Blob bad = blob;
+      put_le(bad, secs[0].payload + field.offset, field.width, value);
+      fix_section_crc(bad, secs[0]);
+      const std::string what = field.name + " = " + std::to_string(value);
+      const std::unique_ptr<rvv::Machine> restored =
+          restore_into_used_target(cfg, bad, what);
+      if (restored == nullptr) {
+        ++trapped;
+        continue;
+      }
+      ++accepted;
+      const Probe got = probe(*restored);
+      EXPECT_EQ(got.scan, want.scan) << what;
+      EXPECT_EQ(got.seg, want.seg) << what;
+      expect_same_counts(got.delta, want.delta, what.c_str());
+      EXPECT_EQ(got.live_values, 0u) << what;
+    }
+  }
+  // Both outcomes occur: VLEN 0 and a flipped pressure flag must trap, and
+  // a ledger or spill count of 0 is legal.
+  EXPECT_GT(trapped, 0u);
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(SnapshotCorruption, CrcValidLedgerPast2To63Rejected) {
+  // ScanService arms deadlines as counter().total() + remaining, so a
+  // ledger summing past 2^63 is refused even when every class fits a u64.
+  const rvv::Machine::Config cfg{.vlen_bits = 128,
+                                 .model_register_pressure = true};
+  const snap::Blob blob = spilled_machine_blob(cfg);
+  const SectionRef sec = section_refs(blob).at(0);
+  const std::size_t ledger = sec.payload + kLedgerOffset;
+  const auto with_ledger = [&](u64 first, u64 second, bool zero_rest) {
+    snap::Blob bad = blob;
+    for (std::size_t k = 0; zero_rest && k < sim::kNumInstClasses; ++k) {
+      put_le(bad, ledger + 8 * k, 8, 0);
+    }
+    put_le(bad, ledger, 8, first);
+    put_le(bad, ledger + 8, 8, second);
+    fix_section_crc(bad, sec);
+    return bad;
+  };
+  const u64 half = u64{1} << 62;
+  EXPECT_EQ(restore_into_used_target(cfg, with_ledger(half, half + 1, true),
+                                     "ledger 2^63 + 1"),
+            nullptr);
+  EXPECT_EQ(restore_into_used_target(cfg, with_ledger(half, half, false),
+                                     "ledger 2^63 + run counts"),
+            nullptr);
+  EXPECT_EQ(restore_into_used_target(cfg, with_ledger(~u64{0}, 1, true),
+                                     "ledger wrapping 2^64"),
+            nullptr);
+
+  // Exactly 2^63 is the largest ledger a restore accepts.
+  rvv::Machine target(cfg);
+  snap::restore_machine(target, with_ledger(half, half, true));
+  EXPECT_EQ(target.counter().total(), u64{1} << 63);
+}
+
+TEST(SnapshotCorruption, CrcValidPeakRegistersBoundedByTheFile) {
+  const rvv::Machine::Config cfg{.vlen_bits = 128,
+                                 .model_register_pressure = true};
+  const snap::Blob blob = spilled_machine_blob(cfg);
+  const SectionRef sec = section_refs(blob).at(0);
+  const std::size_t peak_off = sec.payload + machine_fields().back().offset;
+  const auto with_peak = [&](u32 peak) {
+    snap::Blob bad = blob;
+    put_le(bad, peak_off, 4, peak);
+    fix_section_crc(bad, sec);
+    return bad;
+  };
+  EXPECT_EQ(restore_into_used_target(cfg, with_peak(33), "peak 33"), nullptr);
+  EXPECT_EQ(restore_into_used_target(cfg, with_peak(64), "peak 64"), nullptr);
+  rvv::Machine target(cfg);
+  snap::restore_machine(target, with_peak(sim::VRegFileModel::kNumRegs));
+  EXPECT_EQ(target.regfile()->peak_registers(), sim::VRegFileModel::kNumRegs);
 }
 
 // --- checkpoint / rollback (chaos) ------------------------------------------
