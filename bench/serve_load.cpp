@@ -6,12 +6,12 @@
 //
 // For each hart count it stands up a background ScanService, replays a
 // seeded mixed workload (all six request kinds, three tenants, sizes from
-// tiny coalescible strips to whole-pool large requests) in bounded open-loop
-// bursts, and reports sustained requests/sec plus p50/p99 end-to-end
-// latency.  A final chaos run poisons a fixed fraction of requests with
-// persistent injected hart crashes and checks the service's isolation
-// contract: exactly the poisoned requests fail, everything else completes,
-// and throughput stays above zero.
+// tiny coalescible strips to large requests that each run on one hart) in
+// bounded open-loop bursts, and reports sustained requests/sec plus p50/p99
+// end-to-end latency.  A final chaos run poisons a fixed fraction of
+// requests with persistent injected hart crashes and checks the service's
+// isolation contract: exactly the poisoned requests fail, everything else
+// completes, and throughput stays above zero.
 //
 // Two overload-containment scenarios (ISSUE 10) follow, both hard gates:
 //
@@ -101,7 +101,7 @@ struct RunResult {
 };
 
 /// Deterministic mixed workload: mostly small coalescible strips, some
-/// individual-path kinds, a few whole-pool large requests.
+/// individual-path kinds, a few large requests (individual path too).
 [[nodiscard]] Request gen_request(Rng& rng, std::size_t large_threshold) {
   Request req;
   req.tenant = 1 + rng.below(3);
@@ -127,7 +127,7 @@ struct RunResult {
   } else if (size_roll < 95) {
     n = 64 + rng.below(large_threshold > 64 ? large_threshold - 64 : 64);
   } else {
-    n = large_threshold + rng.below(large_threshold);  // whole-pool
+    n = large_threshold + rng.below(large_threshold);  // one hart each
   }
   if (req.kind == Kind::kSort && n > 512) n = 512;  // keep sort passes sane
 

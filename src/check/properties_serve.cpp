@@ -23,12 +23,11 @@
 // ISSUE 10 adds the overload-containment claims:
 //
 //   * serve.deadline_chaos — with an injected hart fault in flight at the
-//     same time as deadline-bearing requests (coalesced, individual and
-//     whole-pool large), every deadline miss surfaces as kDeadlineExceeded,
-//     healthy peers are untouched, and the sum of bills still equals the
-//     merged pool ledger exactly — cancelled waves roll back into the
-//     abandoned ledger, committed partial phases of a large request stay
-//     billed.
+//     same time as deadline-bearing requests (coalesced, individual, and
+//     individual at or above the coalesce threshold), every deadline miss
+//     surfaces as kDeadlineExceeded, healthy peers are untouched, and the
+//     sum of bills still equals the merged pool ledger exactly — cancelled
+//     attempts roll back whole into the abandoned ledger and bill nothing.
 //
 //   * serve.overload_shed — at queue saturation, higher-priority arrivals
 //     evict exactly the newest lowest-priority queued requests
@@ -39,7 +38,6 @@
 // drain()), which makes every case single-threaded-deterministic in
 // (seed, iteration).
 
-#include <algorithm>
 #include <cstdint>
 #include <future>
 #include <span>
@@ -69,21 +67,18 @@ constexpr std::size_t kMaxMemberN = 96;
 struct Shape {
   unsigned vlen;
   unsigned harts;
-  std::size_t shard_size;
 };
 
 [[nodiscard]] Shape serve_shape(const Case& c) {
   Shape s;
   s.vlen = norm_vlen(c.vlen);
   s.harts = norm_lmul(c.harts);  // {1,2,4,8}
-  s.shard_size = std::clamp<std::size_t>(c.shard_size, 1, 4096);
   return s;
 }
 
 [[nodiscard]] serve::ScanService::Config service_config(const Shape& s) {
   serve::ScanService::Config cfg;
   cfg.harts = s.harts;
-  cfg.shard_size = s.shard_size;
   cfg.machine.vlen_bits = s.vlen;
   cfg.queue_capacity = 4096;
   cfg.max_batch = 4096;
@@ -163,8 +158,6 @@ Case gen_serve(Rng& rng) {
   detail::gen_shape(rng, c);
   static constexpr unsigned kHarts[] = {1, 2, 4, 8};
   c.harts = kHarts[rng.below(4)];
-  static constexpr std::size_t kShards[] = {1, 16, 256, 4096};
-  c.shard_size = kShards[rng.below(4)];
   c.vl = rng.below(512);
   detail::gen_values(rng, c.a, 256);
   detail::gen_values(rng, c.b, 24);  // member-size material
@@ -256,7 +249,7 @@ std::string check_coalesce(const Case& c) {
 std::string check_billing_chaos(const Case& c) {
   const Shape s = serve_shape(c);
   serve::ScanService::Config cfg = service_config(s);
-  cfg.coalesce_threshold = 128;  // force a large-path request too
+  cfg.coalesce_threshold = 128;  // one healthy scan runs at or above it
   cfg.recovery = {.max_retries = 1, .fallback_inline = true};
   serve::ScanService svc(cfg);
 
@@ -288,7 +281,7 @@ std::string check_billing_chaos(const Case& c) {
   };
 
   // A healthy mixed wave: coalescible pairs, an individual histogram and
-  // sort, and one whole-pool large request.
+  // sort, and one scan at or above the threshold (individual too).
   std::vector<std::future<serve::Response>> healthy;
   healthy.push_back(svc.submit(make_request(Kind::kScan, 40 + c.vl % 32, 1)));
   healthy.push_back(svc.submit(make_request(Kind::kScan, 24, 2)));
@@ -297,7 +290,7 @@ std::string check_billing_chaos(const Case& c) {
   healthy.push_back(svc.submit(make_request(Kind::kHistogram, 48, 2)));
   healthy.push_back(svc.submit(make_request(Kind::kSort, 30, 3)));
   healthy.push_back(
-      svc.submit(make_request(Kind::kScan, 128 + c.vl % 256, 1)));  // large
+      svc.submit(make_request(Kind::kScan, 128 + c.vl % 256, 1)));
 
   // The poisoned request: individual path, hook installed for its attempts.
   static constexpr Kind kChaosKinds[] = {Kind::kScan, Kind::kReduce,
@@ -468,7 +461,7 @@ std::string check_deadline_chaos(const Case& c) {
   };
 
   // Healthy peers with roomy deadlines (every kernel here costs well under
-  // a million instructions), spanning all three execution paths.
+  // a million instructions), on both execution paths.
   std::vector<std::future<serve::Response>> healthy;
   healthy.push_back(
       svc.submit(make_request(Kind::kScan, 40 + c.vl % 32, 1, 1u << 20)));
@@ -478,13 +471,13 @@ std::string check_deadline_chaos(const Case& c) {
       svc.submit(make_request(Kind::kScan, 1024 + c.vl % 256, 1, 1u << 20)));
 
   // Deadline-doomed requests: budgets of a handful of instructions cancel
-  // at an early strip-mine boundary on all three paths — a coalesced pair
-  // (the group cancels, then each member re-cancels in the fallback), an
-  // individual sort, and a whole-pool large scan.  The wave-boundary
-  // cancellation contract only fires at the *second* vsetvl, so every
-  // doomed scan must strip-mine at least twice under the widest possible
-  // vector: n > VLMAX(vlen=1024, LMUL=8, 32-bit) = 256 for the coalesced
-  // pair, and n > harts * 512 elements for the pool-sharded large scan.
+  // at an early strip-mine boundary on both paths — a coalesced pair (the
+  // group cancels, then each member re-cancels in the fallback), an
+  // individual sort, and a scan past the threshold, which runs alone on one
+  // hart.  The wave-boundary cancellation contract only fires at the
+  // *second* vsetvl, so every doomed scan must strip-mine at least twice
+  // under the widest possible vector: n > VLMAX(vlen=1024, LMUL=8, 32-bit)
+  // = 256.
   const std::uint64_t tight = 4 + c.offset % 8;
   std::vector<std::future<serve::Response>> doomed;
   doomed.push_back(svc.submit(make_request(Kind::kScan, 600, 5, tight)));

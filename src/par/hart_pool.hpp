@@ -206,39 +206,6 @@ class HartPool {
   /// request throughput to pool dispatch pressure.
   [[nodiscard]] std::uint64_t epochs() const;
 
-  /// A count bracket over a span of pool work: snapshots the committed and
-  /// abandoned ledgers at construction, then reports deltas.  This is the
-  /// billing primitive for layers that interleave many jobs on one pool —
-  /// a service opens a lease, runs an execution wave, and reads exactly the
-  /// counts that wave committed.  Valid only between jobs, like every pool
-  /// read.
-  class Lease {
-   public:
-    /// Counts committed to the merged ledger since the lease opened.
-    [[nodiscard]] sim::CountSnapshot committed() const {
-      return pool_->merged_counts() - base_merged_;
-    }
-    /// Rolled-back (executed but never committed) counts since the lease
-    /// opened — retry and cancellation waste, never billed to tenants.
-    [[nodiscard]] sim::CountSnapshot abandoned() const {
-      return pool_->abandoned_counts() - base_abandoned_;
-    }
-
-   private:
-    friend class HartPool;
-    explicit Lease(const HartPool& pool)
-        : pool_(&pool),
-          base_merged_(pool.merged_counts()),
-          base_abandoned_(pool.abandoned_counts()) {}
-
-    const HartPool* pool_;
-    sim::CountSnapshot base_merged_;
-    sim::CountSnapshot base_abandoned_;
-  };
-
-  /// Open a count bracket at the current ledger position.
-  [[nodiscard]] Lease lease() const { return Lease(*this); }
-
   /// Zero every hart's counter, the rescue machine's counter, and the
   /// abandoned-count ledger.
   void reset_counts() noexcept;

@@ -51,10 +51,9 @@ enum class ErrorCode : std::uint8_t {
   // these that can follow execution: the request's instruction-budget
   // deadline passed, either while queued (shed before execution, zero bill)
   // or mid-execution (cooperatively cancelled at a strip-mine wave boundary;
-  // rolled-back work lands in the pool's abandoned ledger, committed partial
-  // phases of a large request stay on the bill).  The other three are
-  // admission rejections decided in microseconds, never executed, never
-  // charged.
+  // the cancelled attempt rolls back whole into the pool's abandoned ledger
+  // and the request bills nothing).  The other three are admission
+  // rejections decided in microseconds, never executed, never charged.
   kDeadlineExceeded = 13,    ///< sim::TrapKind::kDeadlineExceeded
   kDeadlineUnmeetable = 14,  ///< predicted cost + queue backlog > deadline
   kShedOverload = 15,        ///< shed by a higher-priority arrival at saturation

@@ -8,7 +8,6 @@
 
 #include "apps/histogram.hpp"
 #include "apps/radix_sort.hpp"
-#include "par/collectives.hpp"
 #include "snap/snapshot.hpp"
 #include "tune/cost_model.hpp"
 #include "svm/op_traits.hpp"
@@ -64,36 +63,6 @@ class DeadlineGuard {
   bool active_;
 };
 
-/// Large-path variant: the par:: collectives run on every hart, so the
-/// budget is armed on each hart machine before the collective starts (the
-/// pool is quiescent between jobs, so the consumer thread owns the
-/// machines) and cleared when the request finishes.  Each hart gets the
-/// full remaining budget — harts run in parallel, so per-hart retired
-/// instructions *are* the virtual-time axis.
-class PoolDeadlineGuard {
- public:
-  PoolDeadlineGuard(par::HartPool& pool, std::uint64_t remaining) noexcept
-      : pool_(pool), active_(remaining > 0) {
-    if (!active_) return;
-    for (unsigned h = 0; h < pool_.harts(); ++h) {
-      rvv::Machine& m = pool_.machine(h);
-      m.set_instruction_deadline(m.counter().total() + remaining);
-    }
-  }
-  ~PoolDeadlineGuard() {
-    if (!active_) return;
-    for (unsigned h = 0; h < pool_.harts(); ++h) {
-      pool_.machine(h).clear_instruction_deadline();
-    }
-  }
-  PoolDeadlineGuard(const PoolDeadlineGuard&) = delete;
-  PoolDeadlineGuard& operator=(const PoolDeadlineGuard&) = delete;
-
- private:
-  par::HartPool& pool_;
-  bool active_;
-};
-
 /// The unspent virtual-time budget of a queued request at wave time, or 0
 /// when it carries no deadline.  Callers shed expired requests before
 /// execution, so a positive remainder is the normal case; the floor of 1
@@ -102,21 +71,6 @@ class PoolDeadlineGuard {
                                              std::uint64_t now_vt) noexcept {
   if (p.deadline_vt == 0) return 0;
   return p.deadline_vt > now_vt ? p.deadline_vt - now_vt : 1;
-}
-
-/// Kinds with a whole-pool par:: collective (the large-request path).
-[[nodiscard]] constexpr bool has_par_path(Kind kind) noexcept {
-  switch (kind) {
-    case Kind::kScan:
-    case Kind::kScanExclusive:
-    case Kind::kReduce:
-    case Kind::kSort:
-      return true;
-    case Kind::kCompress:    // stable pack has no sharded collective
-    case Kind::kHistogram:   // bin scatter is not shard-composable
-      return false;
-  }
-  return false;
 }
 
 /// Largest histogram bin count submit accepts: keys are Values, so no key
@@ -140,7 +94,6 @@ constexpr std::uint64_t kMaxBins = std::uint64_t{1} << 32;
 ScanService::ScanService(Config cfg)
     : cfg_(cfg),
       pool_(par::HartPool::Config{.harts = cfg.harts,
-                                  .shard_size = cfg.shard_size,
                                   .machine = cfg.machine,
                                   .recovery = cfg.recovery}),
       queue_(cfg.queue_capacity),
@@ -370,11 +323,9 @@ std::uint64_t ScanService::predict_cost(Kind kind, std::size_t n) const {
     case Kind::kCompress:
       shape = Shape::kPack;
       break;
-    case Kind::kSort:
-      shape = Shape::kParSort;
-      break;
-    case Kind::kHistogram:
-      fitted = false;  // no fitted shape; the eyeballed estimate gates it
+    case Kind::kSort:       // one-hart split_radix_sort has no fitted shape
+    case Kind::kHistogram:  // nor has the bin scatter
+      fitted = false;       // the eyeballed estimate gates both
       break;
   }
   if (fitted && n > 0) {
@@ -430,7 +381,6 @@ void ScanService::run_wave(std::vector<Pending> wave) {
   wave_vt_ = virtual_now();
 
   std::vector<Pending*> individual;
-  std::vector<Pending*> large;
   std::array<std::vector<Pending*>, kNumRequestKinds> batches;
 
   for (Pending& p : wave) {
@@ -452,10 +402,8 @@ void ScanService::run_wave(std::vector<Pending> wave) {
       finish(p, empty_response(r));
       continue;
     }
-    const bool is_large = r.data.size() >= cfg_.coalesce_threshold;
-    if (is_large && has_par_path(r.kind) && r.chaos_hook == nullptr) {
-      large.push_back(&p);
-    } else if (!is_large && coalescible(r.kind) && r.chaos_hook == nullptr) {
+    if (r.data.size() < cfg_.coalesce_threshold && coalescible(r.kind) &&
+        r.chaos_hook == nullptr) {
       batches[static_cast<std::size_t>(r.kind)].push_back(&p);
     } else {
       individual.push_back(&p);
@@ -471,7 +419,6 @@ void ScanService::run_wave(std::vector<Pending> wave) {
     }
   }
   if (!individual.empty()) execute_individual(individual);
-  for (Pending* p : large) execute_large(*p);
   maybe_checkpoint();
 }
 
@@ -514,7 +461,9 @@ void ScanService::checkpoint_to(const std::string& path) {
   ++stats_.checkpoints;
 }
 
-// Individual path: request i is shard i of one fork-join epoch, so the
+// Individual path: every request that does not coalesce (large, histogram,
+// sort, chaos, batch singletons).  Request i is shard i of one fork-join
+// epoch, so up to `harts` requests run side by side, one per hart, and the
 // pool's per-shard failure isolation maps 1:1 to requests — an unrecovered
 // shard fails exactly its request, recovered shards are invisible.  The
 // body re-stages from the immutable request each attempt (idempotent, so
@@ -755,71 +704,6 @@ void ScanService::execute_batch(Kind kind, std::vector<Pending*>& members) {
     }
   }
   if (!fallback.empty()) execute_individual(fallback);
-}
-
-// Large path: the request gets the whole pool via the two-level par::
-// collectives, billed under a lease bracket.  On failure the lease still
-// reports whatever phases committed before the fault — partial work is
-// real retired work and stays on the tenant's bill, which is what keeps
-// the sum-of-bills == merged-counts invariant exact.
-void ScanService::execute_large(Pending& p) {
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.large_requests;
-  }
-  const Request& r = p.req;
-  Response resp;
-  const par::HartPool::Lease lease = pool_.lease();
-  // Large requests bill lease.committed() even when cancelled: phases that
-  // committed before the deadline are real retired work, exactly like a
-  // faulted large request (the cancelled phase itself rolls back).
-  const PoolDeadlineGuard deadline(pool_, remaining_budget(p, wave_vt_));
-  std::vector<Value> work(r.data.begin(), r.data.end());
-  try {
-    switch (r.kind) {
-      case Kind::kScan:
-        par::plus_scan<Value>(pool_, std::span<Value>(work));
-        resp.data = std::move(work);
-        break;
-      case Kind::kScanExclusive:
-        par::plus_scan_exclusive<Value>(pool_, std::span<Value>(work));
-        resp.data = std::move(work);
-        break;
-      case Kind::kReduce:
-        resp.scalar =
-            par::reduce<svm::PlusOp, Value>(pool_, std::span<const Value>(r.data));
-        break;
-      case Kind::kSort:
-        par::split_radix_sort<Value>(pool_, std::span<Value>(work));
-        resp.data = std::move(work);
-        break;
-      case Kind::kCompress:
-      case Kind::kHistogram:
-        break;  // classified individual (no par:: path) — unreachable
-    }
-  } catch (const Trap& t) {
-    resp.error = error_code(t.kind());
-    resp.message = t.message();
-    resp.data.clear();
-  } catch (const par::ShardExecutionError& e) {
-    resp.error = ErrorCode::kWorkerCrash;
-    resp.message = e.what();
-    for (const par::ShardFailure& f : e.report().failures) {
-      if (f.recovered) continue;
-      resp.error = failure_code(f);
-      resp.message = f.message;
-      break;
-    }
-    resp.data.clear();
-  } catch (const std::exception& e) {
-    resp.error = ErrorCode::kWorkerCrash;
-    resp.message = e.what();
-    resp.data.clear();
-  }
-  resp.bill = lease.committed();
-  // Republish the clock before finishing so vt_latency covers this job.
-  update_vclock();
-  finish(p, std::move(resp));
 }
 
 }  // namespace rvvsvm::serve

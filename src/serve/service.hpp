@@ -10,12 +10,11 @@
 //                 small same-kind requests  -> segmented-envelope batch
 //                                              (one fork-join epoch, one
 //                                              strip-mined seg pass/group)
-//                 histogram/sort/chaos/odd  -> individual epoch (request i
-//                                              is shard i: failure isolation
-//                                              maps 1:1 to requests)
-//                 large requests            -> par:: collectives across the
-//                                              whole pool, one at a time,
-//                                              billed under a pool lease
+//                 large/histogram/sort/     -> individual epoch (request i
+//                 chaos/odd                    is shard i: up to `harts`
+//                                              requests side by side, and
+//                                              failure isolation maps 1:1
+//                                              to requests)
 //
 // Billing: every execution path brackets exact committed counts (HartPool
 // rolls failed attempts back before the service reads its brackets), so the
@@ -67,15 +66,14 @@ class ScanService {
     /// Pool shape (see par::HartPool::Config; 0 harts selects the hardware
     /// concurrency).
     unsigned harts = 4;
-    std::size_t shard_size = 1u << 12;
     rvv::Machine::Config machine{};
     /// Self-healing policy for request execution.  The default retries once
     /// and falls back inline, so transient faults are absorbed invisibly.
     par::RecoveryPolicy recovery{.max_retries = 1, .fallback_inline = true};
     /// Admission bound: submit rejects with kQueueFull beyond this depth.
     std::size_t queue_capacity = 1024;
-    /// Requests below this element count coalesce; at or above it they run
-    /// as whole-pool par:: collectives.
+    /// Requests below this element count coalesce; at or above it each runs
+    /// alone on one hart, on the individual path.
     std::size_t coalesce_threshold = 1u << 12;
     /// Most requests one scheduler wave drains from the queue.
     std::size_t max_batch = 128;
@@ -120,6 +118,8 @@ class ScanService {
     std::uint64_t coalesced_batches = 0;
     std::uint64_t coalesced_requests = 0;
     std::uint64_t individual_requests = 0;
+    /// Always 0: large requests run on the individual path.  Kept because
+    /// svm_bench's serve.large_frac still reads it.
     std::uint64_t large_requests = 0;
     std::uint64_t checkpoints = 0;          ///< pool snapshots written
     std::uint64_t checkpoint_failures = 0;  ///< checkpoint writes that failed
@@ -206,7 +206,6 @@ class ScanService {
   void run_wave(std::vector<Pending> wave);
   void execute_batch(Kind kind, std::vector<Pending*>& members);
   void execute_individual(const std::vector<Pending*>& members);
-  void execute_large(Pending& p);
   void finish(Pending& p, Response&& resp);
   /// Scheduler-only: republish the virtual clock from the pool ledgers.
   /// Legal only between pool jobs (the ledger read needs quiescence).

@@ -78,12 +78,13 @@ template <rvv::VectorElement T, class Measure>
                       .sew = rvv::kSewBits<T>,
                       .vlen = like.vlen_bits(),
                       .harts = harts};
+  // Trials run with the execution cache (the default): counts are
+  // bit-identical with it on or off (the trace fuzz layer pins this), and a
+  // trial's strip-mine loop replays fused after its first blocks instead of
+  // interpreting every op.
   const rvv::Machine::Config scratch_cfg{
       .vlen_bits = like.vlen_bits(),
-      .model_register_pressure = like.regfile() != nullptr,
-      // Counts are bit-identical with the cache on or off (the trace fuzz
-      // layer pins this); off keeps each measurement run self-contained.
-      .use_exec_cache = false};
+      .model_register_pressure = like.regfile() != nullptr};
   return tuner.choose(key, [&](unsigned lmul) -> std::uint64_t {
     rvv::Machine scratch(scratch_cfg);
     rvv::MachineScope scope(scratch);

@@ -288,19 +288,53 @@ TEST(ServeBatching, SingletonAndOddKindsRunIndividually) {
   EXPECT_EQ(sorted.data, (std::vector<Value>{1, 3, 5, 9}));
 }
 
-TEST(ServeBatching, LargeRequestTakesWholePoolPath) {
+TEST(ServeBatching, LargeRequestBillsOneMachinesRun) {
+  // At or above the threshold a request runs on one hart, so its data and
+  // its per-class bill are exactly one plain machine's.
   ScanService::Config cfg = foreground_config(4);
   cfg.coalesce_threshold = 64;
   ScanService svc(cfg);
-  std::vector<Value> data(500, Value{1});
-  const Response resp = svc.call(make_request(Kind::kScan, data));
+  const Request req = make_request(Kind::kScan, iota_values(500));
+  const Response resp = svc.call(Request(req));
   ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp.data.size(), 500u);
-  EXPECT_EQ(resp.data.front(), 1u);
-  EXPECT_EQ(resp.data.back(), 500u);
   EXPECT_FALSE(resp.coalesced);
-  EXPECT_EQ(svc.stats().large_requests, 1u);
-  EXPECT_GT(resp.billed_total, 0u);
+  EXPECT_EQ(svc.stats().individual_requests, 1u);
+
+  rvvsvm::rvv::Machine machine(cfg.machine);
+  rvvsvm::rvv::MachineScope scope(machine);
+  std::vector<Value> expect(req.data);
+  const rvvsvm::sim::CountSnapshot pre = machine.counter().snapshot();
+  rvvsvm::svm::plus_scan<Value>(std::span<Value>(expect));
+  const rvvsvm::sim::CountSnapshot bill = machine.counter().snapshot() - pre;
+  EXPECT_EQ(resp.data, expect);
+  EXPECT_EQ(resp.bill, bill);
+  EXPECT_EQ(resp.billed_total, bill.total());
+}
+
+TEST(ServeBatching, LargeRequestsShareOneEpochPerWave) {
+  // Up to `harts` large requests run side by side as shards of the wave's
+  // one fork-join epoch.
+  ScanService::Config cfg = foreground_config(4);
+  cfg.coalesce_threshold = 64;
+  ScanService svc(cfg);
+  std::vector<std::future<Response>> futs;
+  for (std::size_t j = 0; j < 4; ++j) {
+    futs.push_back(svc.submit(make_request(
+        Kind::kScan, iota_values(500 + 10 * j),
+        static_cast<rvvsvm::sim::TenantId>(1 + j))));
+  }
+  const std::uint64_t epochs = svc.pool().epochs();
+  svc.drain();
+  EXPECT_EQ(svc.pool().epochs() - epochs, 1u);
+  for (std::size_t j = 0; j < futs.size(); ++j) {
+    const Response resp = futs[j].get();
+    ASSERT_TRUE(resp.ok());
+    EXPECT_FALSE(resp.coalesced);
+    ASSERT_EQ(resp.data.size(), 500 + 10 * j);
+    EXPECT_EQ(resp.data.back(), resp.data.size() * (resp.data.size() + 1) / 2);
+  }
+  EXPECT_EQ(svc.stats().individual_requests, 4u);
+  EXPECT_EQ(svc.billing().grand_total(), svc.pool().merged_counts());
 }
 
 TEST(ServeBatching, EmptyPayloadIsIdentityAndBillsNothing) {

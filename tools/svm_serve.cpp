@@ -63,7 +63,7 @@ void usage(std::ostream& os) {
         "  --harts N          pool size (default 4)\n"
         "  --vlen BITS        emulated VLEN (default 256)\n"
         "  --queue N          admission queue capacity (default 1024)\n"
-        "  --threshold N      elements at which a request goes whole-pool\n"
+        "  --threshold N      elements at which a request stops coalescing\n"
         "  --budget T:MAX     per-tenant instruction budget (repeatable)\n"
         "  --restore FILE     warm-start the pool from a snapshot file\n"
         "  --snapshot FILE    write a pool snapshot on clean exit\n"
@@ -169,7 +169,7 @@ void print_stats(std::ostream& os, const ScanService& svc) {
      << ", shutdown " << s.rejected_shutdown << "\n"
      << "waves " << s.waves << ", coalesced " << s.coalesced_requests
      << " requests in " << s.coalesced_batches << " batches, individual "
-     << s.individual_requests << ", large " << s.large_requests << "\n"
+     << s.individual_requests << "\n"
      << "overload: unmeetable " << s.rejected_deadline << ", quarantined "
      << s.rejected_quarantined << ", shed " << s.shed_overload
      << ", expired " << s.expired_in_queue << ", deadline_exceeded "
