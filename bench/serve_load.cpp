@@ -31,6 +31,13 @@
 // --min-rps / --max-p99-ms turn the report into a CI gate (applied to the
 // highest-hart healthy run).  The JSON written by --json is the
 // BENCH_serve.json contract.
+//
+// A row's `billed_instructions` is not a count of the seeded workload: the
+// service runs in background mode, so which requests coalesce depends on
+// how waves form by arrival time, and a coalesced bill differs from an
+// individual one.  Runs of one build differ by a few thousand instructions.
+// The exact check is `bills_exact`: the sum of bills equals the pool's
+// merged counts.
 
 #include <algorithm>
 #include <chrono>

@@ -4,8 +4,9 @@
 // relative to a cache-disabled machine, across every lifecycle phase:
 // record (pass 1), verify (pass 2), stable replay (pass 3+), invalidation
 // under reconfiguration, a trap unwinding a half-consumed replay, a fused
-// body's guard sending a trapping block back to per-op replay, and an
-// instruction deadline landing inside a steady-state fused run.
+// body's guard sending a trapping block to the interpreter (permute's
+// index check, pack's capacity check), and an instruction deadline landing
+// inside a steady-state fused run.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -300,18 +301,83 @@ std::string check_trap_mid_replay(const Case& c) {
   });
 }
 
-/// Permute's fused scatter behind its index guard.  Three clean passes of a
-/// seeded random permutation take the cached machine through record, verify
-/// and fused replay; a fourth pass plants one out-of-range index at a seeded
-/// position.  The guard must send that block to per-op replay, where it
-/// traps exactly as the interpreter does — same faulting element and
-/// instruction number, same partial scatter, same counts — and the stable
-/// trace must survive the trap.
+/// The script of a fused body's guard property, on a cache-on and a
+/// cache-off machine: four passes of `pass(p, log, data)`, which appends the
+/// pass's outcome (its result or trap) to `log` and what it wrote to `data`.
+/// Passes 0-2 are clean and take the cached machine through record, verify
+/// and fused replay; pass 3 plants the input its guard must reject.  The
+/// machines must agree on every outcome, on the data, on each pass's
+/// per-class counts and on the register-file stats; the interpreted log
+/// must show every `planted` trap; with `must_fuse` the cached machine must
+/// have run a fused body; and no trace may be poisoned.
+template <class T, class Pass>
+[[nodiscard]] std::string guard_differential(
+    const char* name, unsigned vlen, const std::vector<std::string>& planted,
+    bool must_fuse, Pass&& pass) {
+  struct Run {
+    std::string log;
+    std::vector<T> data;
+    std::vector<sim::CountSnapshot> deltas;
+  };
+  auto script = [&](rvv::Machine& m) {
+    Run r;
+    rvv::MachineScope scope(m);
+    for (int p = 0; p < 4; ++p) {
+      const sim::CountSnapshot c0 = m.counter().snapshot();
+      r.log += "pass " + std::to_string(p) + ": ";
+      pass(p, r.log, r.data);
+      r.deltas.push_back(m.counter().snapshot() - c0);
+    }
+    return r;
+  };
+  rvv::Machine cached({.vlen_bits = vlen});
+  rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+  const Run got = script(cached);
+  const Run want = script(plain);
+  const std::string who(name);
+  if (got.log != want.log) {
+    return who + ": outcome diverges (cached: " + got.log +
+           "interpreted: " + want.log + ")";
+  }
+  for (const std::string& trap : planted) {
+    if (want.log.find(trap) == std::string::npos) {
+      return who + ": planted input never trapped (" + want.log + ")";
+    }
+  }
+  if (got.data != want.data) {
+    return who + ": cached data diverges from interpreted data";
+  }
+  for (int p = 0; p < 4; ++p) {
+    const auto k = static_cast<std::size_t>(p);
+    if (std::string e = diff_counts(name, p, got.deltas[k], want.deltas[k]);
+        !e.empty()) {
+      return e;
+    }
+  }
+  if (cached.regfile()->spill_count() != plain.regfile()->spill_count() ||
+      cached.regfile()->reload_count() != plain.regfile()->reload_count()) {
+    return who + ": register-file spill/reload stats diverge";
+  }
+  const auto& st = cached.exec_cache().stats();
+  if (must_fuse && st.trace_fused == 0) {
+    return who + ": three clean passes never ran a fused body";
+  }
+  if (st.trace_poisons != 0) {
+    return who + ": the planted input poisoned a trace";
+  }
+  return "";
+}
+
+/// Permute's fused scatter behind its index guard, over a seeded random
+/// permutation; pass 3 plants one out-of-range index at a seeded position.
+/// The guard must send that block to the interpreter, where it traps exactly
+/// as on a cache-off machine — same faulting element and instruction number,
+/// same partial scatter, same counts — and the stable trace must survive
+/// the trap.
 std::string check_permute_guard(const Case& c) {
   return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
     using UI = std::make_unsigned_t<T>;
     constexpr UI kBadIndex = std::numeric_limits<UI>::max();
-    const unsigned vlen = norm_vlen(c.vlen);
     // Indices are read as unsigned T; below 2^SEW - 1 elements every index
     // of the permutation fits and kBadIndex stays out of range.
     const std::size_t n = std::min<std::size_t>(c.vl % (kMaxN + 1), kBadIndex);
@@ -327,67 +393,68 @@ std::string check_permute_guard(const Case& c) {
     bad[static_cast<std::size_t>(rng.below(n))] = static_cast<T>(kBadIndex);
     constexpr T kSentinel = static_cast<T>(0x5A);
 
-    struct Run {
-      std::string traps;
-      std::vector<T> data;
-      std::vector<sim::CountSnapshot> deltas;
-    };
-    auto script = [&](rvv::Machine& m) {
-      Run r;
-      rvv::MachineScope scope(m);
-      for (int pass = 0; pass < 4; ++pass) {
-        std::vector<T> dst(n, kSentinel);
-        const sim::CountSnapshot c0 = m.counter().snapshot();
-        r.traps += "pass " + std::to_string(pass) + ": ";
-        try {
-          svm::permute<T, L>(std::span<const T>(src), std::span<T>(dst),
-                             std::span<const T>(pass < 3 ? perm : bad));
-          r.traps += "none; ";
-        } catch (const MemoryAccessTrap& e) {
-          r.traps += "memory element " + std::to_string(e.element()) + " inst " +
-                     std::to_string(e.context().inst_number) + "; ";
-        } catch (const std::exception& e) {
-          r.traps += std::string("other: ") + e.what() + "; ";
-        }
-        r.deltas.push_back(m.counter().snapshot() - c0);
-        r.data.insert(r.data.end(), dst.begin(), dst.end());
-      }
-      return r;
-    };
-    rvv::Machine cached({.vlen_bits = vlen});
-    rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
-    const Run got = script(cached);
-    const Run want = script(plain);
-    if (got.traps != want.traps) {
-      return "trace.permute: trap shape diverges (cached: " + got.traps +
-             "interpreted: " + want.traps + ")";
-    }
-    if (want.traps.find("pass 3: memory") == std::string::npos) {
-      return "trace.permute: planted index never trapped (" + want.traps + ")";
-    }
-    if (got.data != want.data) {
-      return "trace.permute: cached data diverges from interpreted data";
-    }
-    for (int pass = 0; pass < 4; ++pass) {
-      const auto k = static_cast<std::size_t>(pass);
-      if (std::string e = diff_counts("trace.permute", pass, got.deltas[k],
-                                      want.deltas[k]);
-          !e.empty()) {
-        return e;
-      }
-    }
-    if (cached.regfile()->spill_count() != plain.regfile()->spill_count() ||
-        cached.regfile()->reload_count() != plain.regfile()->reload_count()) {
-      return "trace.permute: register-file spill/reload stats diverge";
-    }
-    const auto& st = cached.exec_cache().stats();
-    if (st.trace_fused == 0) {
-      return "trace.permute: three clean passes never ran the fused scatter";
-    }
-    if (st.trace_poisons != 0) {
-      return "trace.permute: the planted index poisoned a trace";
-    }
-    return "";
+    return guard_differential<T>(
+        "trace.permute", norm_vlen(c.vlen), {"pass 3: memory"}, true,
+        [&](int pass, std::string& log, std::vector<T>& data) {
+          std::vector<T> dst(n, kSentinel);
+          try {
+            svm::permute<T, L>(std::span<const T>(src), std::span<T>(dst),
+                               std::span<const T>(pass < 3 ? perm : bad));
+            log += "none; ";
+          } catch (const MemoryAccessTrap& e) {
+            log += "memory element " + std::to_string(e.element()) + " inst " +
+                   std::to_string(e.context().inst_number) + "; ";
+          } catch (const std::exception& e) {
+            log += std::string("other: ") + e.what() + "; ";
+          }
+          data.insert(data.end(), dst.begin(), dst.end());
+        });
+  });
+}
+
+/// Pack's fused compress behind its capacity guard.  Seeded keep flags (all
+/// zero and all one included); pass 3 plants a dst one element short of the
+/// kept count.  The guard is decided once per call, so that pass interprets
+/// every block and traps exactly as on a cache-off machine — same
+/// instruction number, same partial output, same counts — and the stable
+/// traces stay stable: a per-op replay would diverge at the first block
+/// storing a different count than the recording.
+std::string check_pack(const Case& c) {
+  return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
+    const unsigned vlen = norm_vlen(c.vlen);
+    const std::size_t n = c.vl % (kMaxN + 1);
+    const std::vector<T> src = to_elems<T>(c.a, n);
+    const auto kb = to_bits(c.m, n);
+    const std::vector<T> keep(kb.begin(), kb.end());
+    const auto kept = static_cast<std::size_t>(
+        std::ranges::count_if(keep, [](T f) { return f != T{0}; }));
+    constexpr T kSentinel = static_cast<T>(0x5A);
+    // A shape promotes once two of its blocks in a row keep the same count.
+    // That is certain by pass 2 for a tail block, a one-block call and
+    // uniform flags, so the cached machine must then have fused.
+    const std::size_t vlmax = rvv::vlmax_for(vlen, rvv::kSewBits<T>, L);
+    const bool must_fuse =
+        n > 0 && (n % vlmax != 0 || n == vlmax || kept == 0 || kept == n);
+    // With nothing kept no dst can be short: pass 3 is one more clean pass.
+    std::vector<std::string> planted;
+    if (kept > 0) planted.emplace_back("pass 3: capacity");
+    return guard_differential<T>(
+        "trace.pack", vlen, planted, must_fuse,
+        [&](int pass, std::string& log, std::vector<T>& data) {
+          std::vector<T> dst(pass < 3 || kept == 0 ? kept : kept - 1, kSentinel);
+          try {
+            log += "kept " +
+                   std::to_string(svm::pack<T, L>(std::span<const T>(src),
+                                                  std::span<T>(dst),
+                                                  std::span<const T>(keep))) +
+                   "; ";
+          } catch (const OperandTrap& e) {
+            log += "capacity inst " + std::to_string(e.context().inst_number) + "; ";
+          } catch (const std::exception& e) {
+            log += std::string("other: ") + e.what() + "; ";
+          }
+          data.insert(data.end(), dst.begin(), dst.end());
+        });
   });
 }
 
@@ -450,13 +517,31 @@ void run_fused_kernel(unsigned which, const std::vector<T>& a,
     case 11:
       out = a;
       return svm::seg_plus_scan<T, L>(std::span<T>(out), cf);
+    case 12:
+      out = a;
+      return svm::seg_scan_exclusive<svm::PlusOp, T, L>(std::span<T>(out), cf);
+    case 13: {
+      out.assign(a.size(), T{0});
+      const std::size_t kept = svm::pack<T, L>(ca, std::span<T>(out), cf);
+      out.push_back(static_cast<T>(kept));
+      return;
+    }
+    case 14: {
+      // One total per segment: exactly the pack's destination capacity.
+      const auto heads = std::ranges::count_if(flags, [](T f) { return f != T{0}; });
+      const std::size_t segments =
+          a.empty() ? 0 : static_cast<std::size_t>(heads) + (flags[0] == T{0} ? 1 : 0);
+      out.assign(segments, T{0});
+      static_cast<void>(svm::seg_reduce<svm::PlusOp, T, L>(ca, cf, std::span<T>(out)));
+      return;
+    }
     default:
       out = a;
       return apps::split_radix_sort<T, L>(std::span<T>(out));
   }
 }
 
-constexpr unsigned kFusedKernelCount = 13;
+constexpr unsigned kFusedKernelCount = 16;
 
 /// An instruction deadline inside a warm fused strip-mine loop.  Seeded:
 /// the kernel, 0-3 warm-up calls (so the deadline call records, verifies or
@@ -477,7 +562,7 @@ std::string check_deadline(const Case& c) {
     // the interpreted side cheap.
     constexpr auto kMaxIndex = static_cast<std::size_t>(std::numeric_limits<UI>::max());
     if (which == 7 && n > 0 && n - 1 > kMaxIndex) n = kMaxIndex + 1;
-    if (which >= 12) n = std::min<std::size_t>(n, 512);
+    if (which == kFusedKernelCount - 1) n = std::min<std::size_t>(n, 512);
     const std::vector<T> a = to_elems<T>(c.a, n);
     const std::vector<T> b = to_elems<T>(c.b, n);
     const auto fb = to_bits(c.m, n);
@@ -573,6 +658,7 @@ std::vector<Property> make_trace_properties() {
   add("trace.apps", check_apps);
   add("trace.trap_mid_replay", check_trap_mid_replay);
   add("trace.permute", check_permute_guard);
+  add("trace.pack", check_pack);
   add("trace.deadline", check_deadline);
   return props;
 }

@@ -289,11 +289,15 @@ class Machine {
 /// and leaves machine state consistent.  When the tracer declines to engage
 /// (cache disabled, fault injection armed, nested strip-mines, values live
 /// across the iteration boundary) every op interprets exactly as before.
+/// `engage = false` keeps the tracer idle the same way: the fused strip-mine
+/// passes its `fusable` verdict, so a block the guard rejects interprets —
+/// it neither records nor replays, and its trace keeps whatever state it had.
 class TraceIteration {
  public:
   TraceIteration(Machine& m, const TraceSite& site, std::size_t vl,
-                 unsigned sew_bits, unsigned lmul)
-      : m_(m), engaged_(m.begin_trace_iteration(site, vl, sew_bits, lmul)) {}
+                 unsigned sew_bits, unsigned lmul, bool engage = true)
+      : m_(m),
+        engaged_(engage && m.begin_trace_iteration(site, vl, sew_bits, lmul)) {}
   ~TraceIteration() {
     if (engaged_) m_.abort_trace_iteration();
   }

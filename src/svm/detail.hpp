@@ -82,37 +82,46 @@ struct AlwaysFusable {
 };
 
 /// Fused-execution variant: once the iteration's trace is stable, the whole
-/// iteration is charged in bulk and `fused(pos, vl)` runs in place of
+/// iteration is charged in bulk and `fused(pos, len)` runs in place of
 /// `body(pos, vl)` — no per-op emulation at all, the trace-JIT idea applied
 /// to the emulator's hot loop.  The kernel author asserts the contract that
 /// makes this exact:
-///   * `fused` writes bit-identical data to `body` for every (pos, vl) —
-///     shape-deterministic bodies only (op sequence depends on vl, never on
-///     element values); the fuzz oracle's trace layer enforces this;
+///   * `fused` writes bit-identical data to `body`, and the body's counts do
+///     not depend on element values: every block of one shape retires the
+///     trace's recorded `iter_total`.  The op sequence itself may depend on
+///     the data (`pack`'s store length is its block's popcount) — a fused
+///     replay never matches ops one by one; the fuzz oracle's trace layer
+///     enforces both halves;
+///   * one call `fused(pos, k * vl)` over k consecutive full blocks writes
+///     exactly what the k calls `fused(pos + i * vl, vl)`, made in order,
+///     would write.  Elementwise loops meet this trivially; the folds carry
+///     their state left to right with integer operators that are exactly
+///     associative;
 ///   * `fused` cannot trap when `fusable(pos, vl)` holds.  Bodies whose
 ///     validation is purely shape-derived keep the always-true default (the
 ///     shape was validated when the trace recorded); a body that can trap on
-///     element values (the permute scatter's index check) passes the exact
-///     condition its ops trap on.  `fusable` is evaluated before the bulk
-///     charge, so an iteration it rejects runs `body` under ordinary per-op
-///     replay and traps exactly as the interpreter does: the consumed prefix
-///     is charged and the trace stays stable.
-/// Recording, verification, divergence handling, and machines with the
-/// cache disabled (or a fault schedule armed) all run `body` unchanged.
+///     element values passes the exact condition its ops trap on (permute's
+///     index check, pack's capacity check).  `fusable` is evaluated before
+///     the iteration's bracket opens, and a block it rejects runs `body`
+///     with the tracer idle: it interprets and traps exactly as the
+///     interpreter does, and records and replays nothing, so a stable trace
+///     stays stable.
+/// Recording, verification, and machines with the cache disabled (or a
+/// fault schedule armed) all run `body` unchanged.
 ///
 /// Steady state: after an iteration replays fused, the full blocks that
 /// follow it (vl = VLMAX, so the same trace key) run as one *run* — one
 /// charge of exactly what that many fused iterations charge one by one
 /// (vsetvl, trace total, loop bookkeeping, spill/reload events, per-block
-/// stats), then `fused` once per block, in order.  Fused bodies create no
-/// vector values and arm no fault channel, so every engagement
+/// stats), then one `fused` call over the whole run.  Fused bodies create
+/// no vector values and arm no fault channel, so every engagement
 /// precondition the first block passed holds for the whole run.  The run
 /// admits only blocks whose vsetvl would pass the deadline poll
 /// (Machine::admit_fused_run) and stops at the first block `fusable`
 /// rejects; that block, and the tail, go round the loop as before.
-/// `fusable` sees every block of a run before any of the run's fused
-/// bodies runs, so it must not read what `fused` writes (permute's guard
-/// reads only indices, and never fuses when dst overlaps them).
+/// `fusable` sees every block of a run before the run's fused call, so it
+/// must not read what `fused` writes (permute's guard reads only indices,
+/// and never fuses when dst overlaps them).
 template <rvv::VectorElement T, unsigned LMUL, class Body, class Fused,
           class Fusable = AlwaysFusable>
 void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
@@ -126,8 +135,9 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
     const std::size_t vl = m.vsetvl<T>(n, LMUL);
     rvv::Trace* replayed = nullptr;
     {
-      rvv::TraceIteration trace(m, site, vl, rvv::kSewBits<T>, LMUL);
-      if (fusable(pos, vl) && (replayed = trace.replay_fused()) != nullptr) {
+      rvv::TraceIteration trace(m, site, vl, rvv::kSewBits<T>, LMUL,
+                                fusable(pos, vl));
+      if ((replayed = trace.replay_fused()) != nullptr) {
         fused(pos, vl);
       } else {
         body(pos, vl);
@@ -141,10 +151,10 @@ void stripmine(std::size_t n, unsigned pointer_bumps, Body body, Fused fused,
       const std::size_t admitted = m.admit_fused_run(*replayed, n / vl, step);
       std::size_t blocks = 0;
       while (blocks < admitted && fusable(pos + blocks * vl, vl)) ++blocks;
+      if (blocks == 0) continue;
       m.charge_fused_run(*replayed, blocks, step);
-      for (const std::size_t end = pos + blocks * vl; pos < end; pos += vl) {
-        fused(pos, vl);
-      }
+      fused(pos, blocks * vl);
+      pos += blocks * vl;
       n -= blocks * vl;
     }
   }

@@ -24,11 +24,11 @@ namespace rvvsvm::svm {
 ///
 /// The fused body is the scatter itself, in element order.  vsuxei traps on
 /// an index beyond dst, so the block fuses only when every index in it is in
-/// range — validated once per stable iteration, before the bulk charge; a
-/// block holding a bad index replays op by op and traps like the
-/// interpreter.  A dst overlapping src or index (an in-place permute the
-/// paper rules out) never fuses: the emulated block loads both operands
-/// before its store commits, and the fused loop would not.
+/// range — validated per block, before the bulk charge; a block holding a
+/// bad index runs interpreted and traps like the interpreter.  A dst
+/// overlapping src or index (an in-place permute the paper rules out) never
+/// fuses: the emulated block loads both operands before its store commits,
+/// and the fused loop would not.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void permute(std::span<const T> src, std::span<T> dst, std::span<const T> index) {
   if constexpr (LMUL == kTunedLmul) {
@@ -119,6 +119,16 @@ void gather(std::span<const T> src, std::span<T> dst, std::span<const T> index) 
 /// pack: moves the elements of src whose flag is non-zero, in order, to the
 /// front of dst.  Returns the number of packed elements.  Uses vcompress
 /// per block plus vcpop to advance the output cursor.
+///
+/// The block's store length k is its popcount, so the op sequence depends
+/// on the data, but its counts do not: vse retires one instruction for any
+/// vl, and the register-pressure model sees the same values whatever k is.
+/// A stable trace therefore replays fused for every k.  The fused body is a
+/// host compress: branch-free into a stack chunk, then the kept prefix is
+/// copied to dst.  The only trap a block can raise is the capacity check,
+/// and no block raises it exactly when the call's nonzero flags fit dst, so
+/// the guard is decided once per call; a dst overlapping src or flags never
+/// fuses (the emulated block loads both before its store commits).
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 [[nodiscard]] std::size_t pack(std::span<const T> src, std::span<T> dst,
                                std::span<const T> flags) {
@@ -136,26 +146,48 @@ template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
   } else {
   if (flags.size() < src.size()) detail::invalid_input("pack", "flags too short");
   rvv::Machine& m = rvv::Machine::active();
+  bool fusable = detail::disjoint<T>(dst, src) && detail::disjoint<T>(dst, flags);
+  if (fusable && dst.size() < src.size()) {
+    const auto kept = std::ranges::count_if(flags.first(src.size()),
+                                            [](T f) { return f != T{0}; });
+    fusable = static_cast<std::size_t>(kept) <= dst.size();
+  }
   std::size_t out = 0;
-  detail::stripmine<T, LMUL>(src.size(), /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto vs = rvv::vle<T, LMUL>(src.subspan(pos), vl);
-                               auto vf = rvv::vle<T, LMUL>(flags.subspan(pos), vl);
-                               const auto mask = rvv::vmsne(vf, T{0}, vl);
-                               const auto packed = rvv::vcompress(vs, mask, vl);
-                               const std::size_t k = rvv::vcpop(mask, vl);
-                               if (dst.size() < out + k) {
-                                 // Discovered mid-kernel, once the packed
-                                 // count is known — a capacity violation
-                                 // (out_of_range), not an input-shape one.
-                                 throw OperandTrap(
-                                     "pack: destination too small",
-                                     detail::input_context("pack"));
-                               }
-                               rvv::vse(dst.subspan(out), packed, k);
-                               out += k;
-                               m.scalar().charge({.alu = 1});  // cursor bump
-                             });
+  detail::stripmine<T, LMUL>(
+      src.size(), /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
+        auto vs = rvv::vle<T, LMUL>(src.subspan(pos), vl);
+        auto vf = rvv::vle<T, LMUL>(flags.subspan(pos), vl);
+        const auto mask = rvv::vmsne(vf, T{0}, vl);
+        const auto packed = rvv::vcompress(vs, mask, vl);
+        const std::size_t k = rvv::vcpop(mask, vl);
+        if (dst.size() < out + k) {
+          // Discovered mid-kernel, once the packed count is known — a
+          // capacity violation (out_of_range), not an input-shape one.
+          throw OperandTrap("pack: destination too small",
+                            detail::input_context("pack"));
+        }
+        rvv::vse(dst.subspan(out), packed, k);
+        out += k;
+        m.scalar().charge({.alu = 1});  // cursor bump
+      },
+      [&](std::size_t pos, std::size_t len) {
+        constexpr std::size_t kChunk = 256;
+        T chunk[kChunk] = {};
+        for (std::size_t done = 0; done < len; done += kChunk) {
+          const std::size_t c = std::min(kChunk, len - done);
+          const T* ps = src.data() + pos + done;
+          const T* pf = flags.data() + pos + done;
+          std::size_t k = 0;
+          for (std::size_t i = 0; i < c; ++i) {
+            chunk[k] = ps[i];
+            k += pf[i] != T{0} ? 1u : 0u;
+          }
+          std::copy_n(chunk, k, dst.data() + out);
+          out += k;
+        }
+      },
+      [&](std::size_t, std::size_t) { return fusable; });
   return out;
   }
 }

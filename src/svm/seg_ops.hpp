@@ -110,23 +110,9 @@ std::size_t seg_reduce(std::span<const T> data, std::span<const T> head_flags,
     detail::invalid_input("seg_reduce", "head_flags shorter than data");
   }
   if (n == 0) return 0;
-  rvv::Machine& m = rvv::Machine::active();
-
   std::vector<T> totals(data.begin(), data.begin() + static_cast<long>(n));
   seg_scan_inclusive<Op, T, LMUL>(std::span<T>(totals), head_flags);
-
-  // tails[i] = 1 iff element i closes its segment (= head_flags[i+1], with
-  // a sentinel 1 after the end).
-  std::vector<T> tails(n);
-  detail::stripmine<T, LMUL>(n, /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto h = rvv::vle<T, LMUL>(head_flags.subspan(pos), vl);
-                               const T sentinel =
-                                   (pos + vl < n) ? head_flags[pos + vl] : T{1};
-                               m.scalar().charge({.load = 1, .branch = 1});
-                               auto t = rvv::vslide1down(h, sentinel, vl);
-                               rvv::vse(std::span<T>(tails).subspan(pos), t, vl);
-                             });
+  const std::vector<T> tails = detail::segment_tails<T, LMUL>(head_flags, n);
   return pack<T, LMUL>(std::span<const T>(totals), out, std::span<const T>(tails));
 }
 

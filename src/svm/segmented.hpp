@@ -51,6 +51,34 @@ template <class Op, rvv::VectorElement T, unsigned LMUL>
   return x;
 }
 
+/// The segment-tail flags of the first n elements: tails[i] = 1 iff element
+/// i closes its segment, i.e. tails[i] = head_flags[i + 1], with 1 after the
+/// last element.  Each block slides its head flags down by one, pulling in
+/// the next block's first flag (or the sentinel 1) with a scalar load and
+/// branch; that charge is the same for every block, so the fused body is
+/// the shifted copy alone.
+template <rvv::VectorElement T, unsigned LMUL>
+[[nodiscard]] std::vector<T> segment_tails(std::span<const T> head_flags,
+                                           std::size_t n) {
+  rvv::Machine& m = rvv::Machine::active();
+  std::vector<T> tails(n);
+  stripmine<T, LMUL>(
+      n, /*pointer_bumps=*/2,
+      [&](std::size_t pos, std::size_t vl) {
+        auto h = rvv::vle<T, LMUL>(head_flags.subspan(pos), vl);
+        const T sentinel = (pos + vl < n) ? head_flags[pos + vl] : T{1};
+        m.scalar().charge({.load = 1, .branch = 1});
+        auto t = rvv::vslide1down(h, sentinel, vl);
+        rvv::vse(std::span<T>(tails).subspan(pos), t, vl);
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        const std::size_t shifted = pos + vl < n ? vl : vl - 1;
+        std::copy_n(head_flags.data() + pos + 1, shifted, tails.data() + pos);
+        if (shifted < vl) tails[n - 1] = T{1};
+      });
+  return tails;
+}
+
 }  // namespace detail
 
 /// Inclusive segmented Op-scan, in place.  head_flags[i] must be 0 or 1.
@@ -131,7 +159,9 @@ void seg_or_scan(std::span<T> data, std::span<const T> head_flags) {
 /// identity at every segment head).  Works for any operator, invertible or
 /// not: each block computes the inclusive in-register scan, derives the
 /// exclusive form with one vslide1up that injects the incoming carry, and
-/// forces segment heads to the identity with vmerge.
+/// forces segment heads to the identity with vmerge.  The fused body is the
+/// sequential segmented fold from the carry, bit-equal for the same reasons
+/// as seg_scan_inclusive's.
 template <class Op, rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void seg_scan_exclusive(std::span<T> data, std::span<const T> head_flags) {
   if constexpr (LMUL == kTunedLmul) {
@@ -170,6 +200,21 @@ void seg_scan_exclusive(std::span<T> data, std::span<const T> head_flags) {
         rvv::vse(data.subspan(pos), ex, vl);
         carry = next_carry;
         m.scalar().charge({.alu = 1});
+      },
+      [&](std::size_t pos, std::size_t vl) {
+        // The inclusive fold of seg_scan_inclusive's fused body, writing
+        // each element's incoming accumulator instead: the identity at a
+        // head, else the fold of the segment so far (the carry first).
+        T* p = data.data() + pos;
+        const T* ph = head_flags.data() + pos;
+        T acc = carry;
+        for (std::size_t i = 0; i < vl; ++i) {
+          const T ai = p[i];
+          const bool head = ph[i] != T{0};
+          p[i] = head ? Op::template identity<T>() : acc;
+          acc = head ? ai : Op::template scalar<T>(acc, ai);
+        }
+        carry = acc;
       });
   }
 }
@@ -230,20 +275,7 @@ void seg_broadcast_tail(std::span<T> data, std::span<const T> head_flags) {
   if (n - 1 > static_cast<std::size_t>(std::numeric_limits<T>::max())) {
     detail::invalid_input("seg_broadcast_tail", "indices overflow the element type; widen first");
   }
-  rvv::Machine& m = rvv::Machine::active();
-  // tails[i] = 1 when element i is the last of its segment:
-  // tails[i] = head_flags[i+1] (sentinel 1 at the end).
-  std::vector<T> tails(n);
-  detail::stripmine<T, LMUL>(n, /*pointer_bumps=*/2,
-                             [&](std::size_t pos, std::size_t vl) {
-                               auto h = rvv::vle<T, LMUL>(head_flags.subspan(pos), vl);
-                               const T sentinel = (pos + vl < n)
-                                                      ? head_flags[pos + vl]
-                                                      : T{1};
-                               m.scalar().charge({.load = 1, .branch = 1});
-                               auto t = rvv::vslide1down(h, sentinel, vl);
-                               rvv::vse(std::span<T>(tails).subspan(pos), t, vl);
-                             });
+  const std::vector<T> tails = detail::segment_tails<T, LMUL>(head_flags, n);
   std::vector<T> rev_data(n);
   std::vector<T> rev_heads(n);
   reverse<T, LMUL>(std::span<const T>(data), std::span<T>(rev_data));

@@ -296,6 +296,28 @@ std::pair<u64, u64> steady_state_replays(rvv::Machine& m, Kernel kernel) {
           after.trace_fused - before.trace_fused};
 }
 
+/// Keep flags whose 4-element blocks keep 1, 2, 3, 1, 2, 3, ... elements, so
+/// neighbouring blocks always pack a different count at VLMAX 4 — and at
+/// VLMAX 32 too (blocks keep 15, 16, 17, ...).  The trace of a full block
+/// promotes only when two blocks in a row store the same count, which here
+/// happens across calls: the last full block of a call keeps what block 0
+/// keeps whenever the call has 3j + 1 full blocks.
+std::vector<u32> alternating_keep_flags(std::size_t n) {
+  std::vector<u32> keep(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = i % 12;
+    keep[i] = static_cast<u32>(r % 4 <= r / 4);
+  }
+  return keep;
+}
+
+/// Segments `head_flags` describes (element 0 always starts one).
+std::size_t segment_count(const std::vector<u32>& head_flags) {
+  const auto heads = std::count_if(head_flags.begin(), head_flags.end(),
+                                   [](u32 f) { return f != 0; });
+  return static_cast<std::size_t>(heads) + (head_flags[0] == 0 ? 1 : 0);
+}
+
 TEST(ExecCache, RadixSortAndSegScanKernelsRunFused) {
   // VLEN 128, u32: VLMAX 4 at LMUL 1 and 32 at LMUL 8.  n = 1001 leaves a
   // one-element tail, so every call runs two shapes.
@@ -310,6 +332,8 @@ TEST(ExecCache, RadixSortAndSegScanKernelsRunFused) {
     flags[i] = static_cast<u32>(i % 3 == 0);
     index[i] = static_cast<u32>(kN - 1 - i);
   }
+  const std::vector<u32> keep = alternating_keep_flags(kN);
+  std::vector<u32> totals;
   const auto expect_all_fused = [&](const char* what, std::size_t iterations,
                                     auto kernel) {
     const auto [replays, fused] = steady_state_replays(m, kernel);
@@ -330,12 +354,30 @@ TEST(ExecCache, RadixSortAndSegScanKernelsRunFused) {
   expect_all_fused("seg_plus_scan m8", 32, [&] {
     svm::seg_plus_scan<u32, 8>(std::span<u32>(src), std::span<const u32>(flags));
   });
+  expect_all_fused("pack", 251, [&] {
+    EXPECT_EQ((svm::pack<u32, 1>(std::span<const u32>(src), std::span<u32>(dst),
+                                 std::span<const u32>(keep))),
+              static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 1u)));
+  });
+  expect_all_fused("seg_scan_exclusive", 251, [&] {
+    svm::seg_scan_exclusive<svm::PlusOp, u32, 1>(std::span<u32>(src),
+                                                std::span<const u32>(flags));
+  });
+  // Three loops: the segmented scan, the tails pass and the pack, whose
+  // destination holds exactly one total per segment.
+  expect_all_fused("seg_reduce", 3 * 251, [&] {
+    totals.assign(segment_count(flags), 0);  // get_flags rewrote the flags
+    EXPECT_EQ((svm::seg_reduce<svm::PlusOp, u32, 1>(
+                  std::span<const u32>(src), std::span<const u32>(flags),
+                  std::span<u32>(totals))),
+              totals.size());
+  });
 }
 
 TEST(ExecCache, PermuteGuardTrapsLikeTheInterpreter) {
   // VLEN 128, u32, LMUL 1: VLMAX 4, so 16 blocks.  Index 37 (block 9,
   // element 1) is planted out of range after the trace went stable: the
-  // guard must route that block to per-op replay, where vsuxei traps.
+  // guard must send that block to the interpreter, where vsuxei traps.
   constexpr std::size_t kN = 64;
   constexpr std::size_t kBad = 37;
   const std::vector<u32> src = iota_data(kN);
@@ -398,11 +440,109 @@ TEST(ExecCache, PermuteGuardTrapsLikeTheInterpreter) {
   EXPECT_EQ(st.trace_fused, st.trace_replays);  // no per-op replay completed
 }
 
-TEST(ExecCache, InPlacePermuteKeepsPerOpReplay) {
+TEST(ExecCache, PackCapacityTrapsLikeTheInterpreter) {
+  // VLEN 128, u32, LMUL 1: 16 blocks keeping 1, 2, 3, 1, ... elements (31 in
+  // all), so every block stores a different count than its neighbours.
+  // After warm-up a call whose dst is one element short must trap exactly
+  // as the interpreter does — at block 15, with blocks 0-14 packed — and
+  // leave the stable trace stable: a per-op replay of a block would diverge
+  // at its store and poison the trace.
+  constexpr std::size_t kN = 64;
+  const std::vector<u32> src = iota_data(kN);
+  const std::vector<u32> keep = alternating_keep_flags(kN);
+  const auto kept = static_cast<std::size_t>(std::count(keep.begin(), keep.end(), 1u));
+  ASSERT_EQ(kept, 31u);
+  struct Result {
+    std::uint64_t inst = 0;
+    std::vector<u32> dst;
+    sim::CountSnapshot counts;
+  };
+  const auto run = [&](rvv::Machine& m) {
+    rvv::MachineScope scope(m);
+    Result r;
+    r.dst.assign(kept, 0xA5A5A5A5u);
+    const auto pack = [&](std::size_t dst_len) {
+      return svm::pack<u32, 1>(std::span<const u32>(src),
+                               std::span<u32>(r.dst).first(dst_len),
+                               std::span<const u32>(keep));
+    };
+    EXPECT_EQ(pack(kept), kept);  // record; block 0 of the next call promotes
+    EXPECT_EQ(pack(kept), kept);
+    std::fill(r.dst.begin(), r.dst.end(), 0xA5A5A5A5u);
+    bool trapped = false;
+    try {
+      static_cast<void>(pack(kept - 1));
+    } catch (const OperandTrap& e) {
+      trapped = true;
+      r.inst = e.context().inst_number;
+    }
+    EXPECT_TRUE(trapped);
+    r.counts = m.counter().snapshot();
+    return r;
+  };
+  rvv::Machine cached({.vlen_bits = 128});
+  rvv::Machine plain({.vlen_bits = 128, .use_exec_cache = false});
+  const Result got = run(cached);
+  const Result want = run(plain);
+  EXPECT_EQ(got.inst, want.inst);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.dst[kept - 2], src[kN - 6]);  // block 14's last kept element
+  expect_same_counts(got.counts, want.counts, "pack capacity trap");
+  EXPECT_EQ(cached.regfile()->spill_count(), plain.regfile()->spill_count());
+  EXPECT_EQ(cached.regfile()->reload_count(), plain.regfile()->reload_count());
+
+  const rvv::ExecCacheStats& st = cached.exec_cache().stats();
+  EXPECT_EQ(st.trace_poisons, 0u);
+  EXPECT_EQ(st.trace_aborts, 0u);
+  const rvv::ExecCacheStats before = st;
+  {
+    rvv::MachineScope scope(cached);
+    std::vector<u32> dst(kept);
+    EXPECT_EQ((svm::pack<u32, 1>(std::span<const u32>(src), std::span<u32>(dst),
+                                 std::span<const u32>(keep))),
+              kept);
+  }
+  EXPECT_EQ(st.trace_replays - before.trace_replays, kN / 4);
+  EXPECT_EQ(st.trace_fused - before.trace_fused, kN / 4);
+  EXPECT_EQ(st.trace_records, before.trace_records);
+}
+
+TEST(ExecCache, InPlacePackRunsInterpreted) {
+  // A pack whose dst is src itself, or src shifted by one element: the
+  // emulated block loads its elements before its store commits, which the
+  // fused compress would not, so the guard keeps both calls interpreted.
+  constexpr std::size_t kN = 64;
+  const std::vector<u32> keep = alternating_keep_flags(kN + 1);
+  for (const std::size_t shift : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "dst = src + " << shift);
+    const auto run = [&](bool cache) {
+      rvv::Machine m({.vlen_bits = 128, .use_exec_cache = cache});
+      rvv::MachineScope scope(m);
+      std::vector<u32> a = iota_data(kN + 1);
+      std::vector<u32> kept_counts;
+      for (int pass = 0; pass < 3; ++pass) {
+        kept_counts.push_back(static_cast<u32>(svm::pack<u32, 1>(
+            std::span<const u32>(a).first(kN),
+            std::span<u32>(a).subspan(shift, kN), std::span<const u32>(keep))));
+      }
+      if (cache) {
+        EXPECT_EQ(m.exec_cache().stats().trace_fused, 0u);
+      }
+      a.insert(a.end(), kept_counts.begin(), kept_counts.end());
+      return std::pair{a, m.counter().snapshot()};
+    };
+    const auto [data_cached, counts_cached] = run(true);
+    const auto [data_plain, counts_plain] = run(false);
+    EXPECT_EQ(data_cached, data_plain);
+    expect_same_counts(counts_cached, counts_plain, "in-place pack");
+  }
+}
+
+TEST(ExecCache, InPlacePermuteRunsInterpreted) {
   // The paper's permutes are out of place, but nothing stops a caller from
   // passing dst == src.  Swapping neighbours in place: the emulated block
   // loads both elements before its scatter stores either, which a fused
-  // scatter would not, so the call must stay on per-op replay.
+  // scatter would not, so the guard keeps the call interpreted.
   constexpr std::size_t kN = 64;
   std::vector<u32> index(kN);
   for (std::size_t i = 0; i < kN; ++i) index[i] = static_cast<u32>(i ^ 1u);
@@ -430,7 +570,7 @@ TEST(ExecCache, InPlacePermuteKeepsPerOpReplay) {
 /// Seeded operands for the run tests.  Every kernel call reads only these
 /// and overwrites its whole result, so repeated calls see the same input.
 struct RunInputs {
-  std::vector<u32> src, other, flags, index;
+  std::vector<u32> src, other, flags, keep, index;
 };
 
 RunInputs run_inputs(std::size_t n) {
@@ -441,6 +581,7 @@ RunInputs run_inputs(std::size_t n) {
     in.other.push_back(static_cast<u32>(rng()));
     in.flags.push_back(static_cast<u32>(rng() % 4 == 0));
   }
+  in.keep = alternating_keep_flags(n);
   in.index.resize(n);
   std::iota(in.index.begin(), in.index.end(), u32{0});
   std::shuffle(in.index.begin(), in.index.end(), rng);
@@ -451,9 +592,11 @@ struct RunKernel {
   const char* name;
   unsigned lmul;
   void (*run)(const RunInputs&, std::vector<u32>&);
+  unsigned loops = 1;  ///< strip-mine loops one call runs
 };
 
-/// One call per fused kernel family, each a single strip-mine loop.
+/// One call per fused kernel family, each a single strip-mine loop except
+/// seg_reduce (segmented scan, tails pass, pack).
 const RunKernel kFusedKernels[] = {
     {"p_add vv", 1,
      [](const RunInputs& in, std::vector<u32>& out) {
@@ -526,6 +669,29 @@ const RunKernel kFusedKernels[] = {
        svm::seg_plus_scan<u32, 8>(std::span<u32>(out),
                                   std::span<const u32>(in.flags));
      }},
+    {"seg_scan_exclusive", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out = in.src;
+       svm::seg_scan_exclusive<svm::PlusOp, u32, 1>(
+           std::span<u32>(out), std::span<const u32>(in.flags));
+     }},
+    {"pack", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(in.src.size(), 0);
+       const std::size_t kept = svm::pack<u32, 1>(
+           std::span<const u32>(in.src), std::span<u32>(out),
+           std::span<const u32>(in.keep));
+       out.push_back(static_cast<u32>(kept));
+     }},
+    {"seg_reduce", 1,
+     [](const RunInputs& in, std::vector<u32>& out) {
+       out.assign(segment_count(in.flags), 0);
+       const std::size_t segments = svm::seg_reduce<svm::PlusOp, u32, 1>(
+           std::span<const u32>(in.src), std::span<const u32>(in.flags),
+           std::span<u32>(out));
+       out.push_back(static_cast<u32>(segments));
+     },
+     /*loops=*/3},
 };
 
 const RunKernel& fused_kernel(std::string_view name) {
@@ -537,8 +703,10 @@ const RunKernel& fused_kernel(std::string_view name) {
 
 TEST(ExecCache, FusedRunsChargeLikeTheInterpreter) {
   // n = 1001 leaves a tail at every VLMAX here.  Calls 1 and 2 record and
-  // verify both shapes; on call 3 block 0 replays fused, every later full
-  // block runs in one steady-state run, and the tail replays fused alone.
+  // verify both shapes (pack's full-block shape promotes at block 0 of call
+  // 2, see alternating_keep_flags); on call 3 block 0 replays fused, every
+  // later full block runs in one steady-state run, and the tail replays
+  // fused alone.
   constexpr std::size_t kN = 1001;
   const RunInputs in = run_inputs(kN);
   std::uint64_t m8_spills = 0;
@@ -561,7 +729,7 @@ TEST(ExecCache, FusedRunsChargeLikeTheInterpreter) {
         if (m == &cached) {
           const std::size_t vlmax = rvv::vlmax_for(vlen, 32, k.lmul);
           EXPECT_EQ(m->exec_cache().stats().trace_fused - fused0,
-                    (kN + vlmax - 1) / vlmax);
+                    k.loops * ((kN + vlmax - 1) / vlmax));
         }
       }
       EXPECT_EQ(got, want);
