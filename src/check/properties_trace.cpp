@@ -5,8 +5,9 @@
 // record (pass 1), verify (pass 2), stable replay (pass 3+), invalidation
 // under reconfiguration, a trap unwinding a half-consumed replay, a fused
 // body's guard sending a trapping block to the interpreter (permute's
-// index check, pack's capacity check), and an instruction deadline landing
-// inside a steady-state fused run.
+// index check, pack's capacity check), an instruction deadline landing
+// inside a steady-state fused run, and a written operand partly overlapping
+// a read one.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -645,6 +646,74 @@ std::string check_deadline(const Case& c) {
   });
 }
 
+/// A kernel that writes a span `d` elements away from a span it reads,
+/// inside one array, with d seeded in [-VLMAX, VLMAX].  An emulated block
+/// loads all its operands before its store commits; the fused bodies run
+/// element by element (or a host vector at a time) across a whole run, so a
+/// partial overlap must interpret while d = 0 (the same span) may fuse.
+/// Three passes from the same input: record, verify, replay.
+std::string check_overlap(const Case& c) {
+  return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
+    const unsigned vlen = norm_vlen(c.vlen);
+    const std::size_t n = c.vl % (kMaxN + 1);
+    const auto vlmax = static_cast<long long>(rvv::vlmax_for(vlen, rvv::kSewBits<T>, L));
+    Rng rng(c.scalar);
+    constexpr unsigned kKernels = 11;
+    const auto which = static_cast<unsigned>(rng.below(kKernels));
+    const long long d = static_cast<long long>(rng.below(
+                            static_cast<std::uint64_t>(2 * vlmax + 1))) - vlmax;
+    const auto shift = static_cast<std::size_t>(d < 0 ? -d : d);
+    const std::size_t w0 = d > 0 ? shift : 0;
+    const std::size_t r0 = d < 0 ? shift : 0;
+    // Kernels whose shared read operand is a flag vector see 0/1 values.
+    const bool flag_read = which == 5 || which >= 8;
+    std::vector<T> init;
+    if (flag_read) {
+      const auto bits = to_bits(c.m, n + shift);
+      init.assign(bits.begin(), bits.end());
+    } else {
+      init = to_elems<T>(c.a, n + shift);
+    }
+    std::vector<T> other = to_elems<T>(c.b, n);
+    for (T& x : other) x = static_cast<T>(x & T{1});
+    const auto bit = static_cast<unsigned>(c.offset % rvv::kSewBits<T>);
+    const std::string name = "trace.overlap (kernel " + std::to_string(which) +
+                             ", offset " + std::to_string(d) + ")";
+    return differential<T>(
+        name.c_str(), vlen, true, 3, -1, [&](std::vector<T>& out) {
+          out = init;
+          const std::span<T> w = std::span<T>(out).subspan(w0, n);
+          const std::span<const T> r = std::span<const T>(out).subspan(r0, n);
+          const std::span<const T> o(other);
+          switch (which) {
+            case 0:
+              return svm::p_add<T, L>(w, r);
+            case 1:
+              return svm::p_max<T, L>(w, r);
+            case 2:
+              return svm::p_copy<T, L>(r, w);
+            case 3:
+              return svm::get_flags<T, L>(r, w, bit);
+            case 4:
+              return svm::p_select<T, L>(o, r, w);
+            case 5:
+              return svm::p_select<T, L>(r, o, w);
+            case 6:
+              return svm::p_flag_lt<T, L>(r, o, w);
+            case 7:
+              return svm::p_flag_eq<T, L>(r, T{1}, w);
+            case 8:
+              static_cast<void>(svm::enumerate<T, L>(r, w, true));
+              return;
+            case 9:
+              return svm::seg_plus_scan<T, L>(w, r);
+            default:
+              return svm::seg_scan_exclusive<svm::PlusOp, T, L>(w, r);
+          }
+        });
+  });
+}
+
 }  // namespace
 
 std::vector<Property> make_trace_properties() {
@@ -660,6 +729,7 @@ std::vector<Property> make_trace_properties() {
   add("trace.permute", check_permute_guard);
   add("trace.pack", check_pack);
   add("trace.deadline", check_deadline);
+  add("trace.overlap", check_overlap);
   return props;
 }
 

@@ -20,7 +20,9 @@ namespace detail {
 
 /// `f` is the strip-mined op body; `s` is its exact scalar semantic
 /// (s(a[i], x) == element i of f's result), which the fused trace replay
-/// runs directly over the array once the block's trace is stable.
+/// runs directly over the array once the block's trace is stable.  The
+/// two-operand form fuses only when `b` is `a` itself or disjoint from it
+/// (detail::same_or_disjoint); any other overlap interprets.
 /// At LMUL == kTunedLmul (the public kernels' default) the autotuner picks
 /// the register grouping; measurement reuses the caller's own f/s closures
 /// on scratch data, so one head here tunes the whole p_add/p_sub/... family.
@@ -44,7 +46,8 @@ void elementwise_vx(std::span<T> a, T x, F f, S s) {
       },
       [&](std::size_t pos, std::size_t vl) {
         T* pa = a.data() + pos;
-        for (std::size_t i = 0; i < vl; ++i) pa[i] = s(pa[i], x);
+        const T xv = x;
+        for (std::size_t i = 0; i < vl; ++i) pa[i] = s(pa[i], xv);
       });
   }
 }
@@ -74,7 +77,8 @@ void elementwise_vv(std::span<T> a, std::span<const T> b, F f, S s) {
         T* pa = a.data() + pos;
         const T* pb = b.data() + pos;
         for (std::size_t i = 0; i < vl; ++i) pa[i] = s(pa[i], pb[i]);
-      });
+      },
+      FusableIf{same_or_disjoint(std::span<const T>(a), b, a.size())});
   }
 }
 
@@ -226,7 +230,8 @@ void p_combine(std::span<T> a, std::type_identity_t<T> x) {
 
 /// p-select, the conditional move of the scan vector model with the paper's
 /// split-operation signature: where flags[i] is non-zero, dst[i] is replaced
-/// by if_true[i]; elsewhere dst keeps its value.
+/// by if_true[i]; elsewhere dst keeps its value.  Fuses only when `dst` is
+/// each read operand or disjoint from it.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void p_select(std::span<const T> flags, std::span<const T> if_true, std::span<T> dst) {
   if constexpr (LMUL == kTunedLmul) {
@@ -264,14 +269,18 @@ void p_select(std::span<const T> flags, std::span<const T> if_true, std::span<T>
           const T d = pd[i];
           pd[i] = pf[i] != T{0} ? t : d;
         }
-      });
+      },
+      detail::FusableIf{
+          detail::same_or_disjoint(std::span<const T>(dst), flags, dst.size()) &&
+          detail::same_or_disjoint(std::span<const T>(dst), if_true, dst.size())});
   }
 }
 
 namespace detail {
 
 /// `cmp` drives the mask op; `scmp(a[i], b[i])` is its exact scalar relation,
-/// run directly by fused trace replay.
+/// run directly by fused trace replay.  Both compare forms fuse only when
+/// `dst` is each read operand or disjoint from it.
 template <rvv::VectorElement T, unsigned LMUL, class Cmp, class SCmp>
 void flag_compare(std::span<const T> a, std::span<const T> b, std::span<T> dst,
                   Cmp cmp, SCmp scmp) {
@@ -307,7 +316,9 @@ void flag_compare(std::span<const T> a, std::span<const T> b, std::span<T> dst,
         const T* pb = b.data() + pos;
         T* pd = dst.data() + pos;
         for (std::size_t i = 0; i < vl; ++i) pd[i] = scmp(pa[i], pb[i]) ? T{1} : T{0};
-      });
+      },
+      FusableIf{same_or_disjoint(std::span<const T>(dst), a, a.size()) &&
+                same_or_disjoint(std::span<const T>(dst), b, a.size())});
   }
 }
 
@@ -375,8 +386,10 @@ void flag_compare_vx(std::span<const T> a, T x, std::span<T> dst, Cmp cmp,
       [&](std::size_t pos, std::size_t vl) {
         const T* pa = a.data() + pos;
         T* pd = dst.data() + pos;
-        for (std::size_t i = 0; i < vl; ++i) pd[i] = scmp(pa[i], x) ? T{1} : T{0};
-      });
+        const T xv = x;
+        for (std::size_t i = 0; i < vl; ++i) pd[i] = scmp(pa[i], xv) ? T{1} : T{0};
+      },
+      FusableIf{same_or_disjoint(std::span<const T>(dst), a, a.size())});
   }
 }
 
@@ -436,7 +449,8 @@ void p_convert(std::span<const From> src, std::span<To> dst) {
   }
 }
 
-/// Elementwise copy (the model's move instruction): dst[i] = src[i].
+/// Elementwise copy (the model's move instruction): dst[i] = src[i].  Fuses
+/// only when `dst` is `src` or disjoint from it.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void p_copy(std::span<const T> src, std::span<T> dst) {
   if constexpr (LMUL == kTunedLmul) {
@@ -460,7 +474,9 @@ void p_copy(std::span<const T> src, std::span<T> dst) {
         const T* ps = src.data() + pos;
         T* pd = dst.data() + pos;
         for (std::size_t i = 0; i < vl; ++i) pd[i] = ps[i];
-      });
+      },
+      detail::FusableIf{
+          detail::same_or_disjoint(std::span<const T>(dst), src, dst.size())});
   }
 }
 

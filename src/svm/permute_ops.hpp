@@ -187,7 +187,7 @@ template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
           out += k;
         }
       },
-      [&](std::size_t, std::size_t) { return fusable; });
+      detail::FusableIf{fusable});
   return out;
   }
 }

@@ -88,6 +88,8 @@ template <rvv::VectorElement T, unsigned LMUL>
 /// starting from the incoming carry.  That is bit-equal to the emulated
 /// block (the vmsbf carry mask applied over the Figure 4 tree) for the same
 /// associativity and two-sided-identity reasons as scan_inclusive's fold.
+/// Both segmented scans fuse only when `data` is `head_flags` itself or
+/// disjoint from it (detail::same_or_disjoint).
 template <class Op, rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 void seg_scan_inclusive(std::span<T> data, std::span<const T> head_flags) {
   if constexpr (LMUL == kTunedLmul) {
@@ -132,7 +134,9 @@ void seg_scan_inclusive(std::span<T> data, std::span<const T> head_flags) {
           p[i] = acc;
         }
         carry = acc;
-      });
+      },
+      detail::FusableIf{detail::same_or_disjoint(std::span<const T>(data),
+                                                 head_flags, data.size())});
   }
 }
 
@@ -215,7 +219,9 @@ void seg_scan_exclusive(std::span<T> data, std::span<const T> head_flags) {
           acc = head ? ai : Op::template scalar<T>(acc, ai);
         }
         carry = acc;
-      });
+      },
+      detail::FusableIf{detail::same_or_disjoint(std::span<const T>(data),
+                                                 head_flags, data.size())});
   }
 }
 

@@ -71,13 +71,15 @@ template <rvv::VectorElement T, class Measure>
 [[nodiscard]] unsigned tuned_lmul(rvv::Machine& like, unsigned harts,
                                   tune::Shape shape, std::size_t n,
                                   Measure&& measure) {
+  if (n == 0) return 1;
   tune::AutoTuner& tuner = tune::AutoTuner::active();
-  if (n == 0 || !tuner.enabled()) return 1;
   const tune::Key key{.shape = shape,
                       .bucket = tune::n_bucket(n),
                       .sew = rvv::kSewBits<T>,
                       .vlen = like.vlen_bits(),
                       .harts = harts};
+  // A hit (or a disabled tuner) is one lock and builds no std::function.
+  if (const unsigned lmul = tuner.cached(key); lmul != 0) return lmul;
   // Trials run with the execution cache (the default): counts are
   // bit-identical with it on or off (the trace fuzz layer pins this), and a
   // trial's strip-mine loop replays fused after its first blocks instead of

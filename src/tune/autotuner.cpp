@@ -23,14 +23,23 @@ thread_local AutoTuner* g_active_tuner = nullptr;
 
 }  // namespace
 
-unsigned AutoTuner::choose(const Key& key, const MeasureFn& measure) {
-  const std::lock_guard<std::mutex> lock(mu_);
+unsigned AutoTuner::cached_locked(const Key& key) {
   if (!enabled_) return 1;
   sync_epoch_locked();
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    ++stats_.hits;
-    return it->second.lmul;
-  }
+  const auto it = cache_.find(key);
+  if (it == cache_.end()) return 0;
+  ++stats_.hits;
+  return it->second.lmul;
+}
+
+unsigned AutoTuner::cached(const Key& key) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return cached_locked(key);
+}
+
+unsigned AutoTuner::choose(const Key& key, const MeasureFn& measure) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (const unsigned lmul = cached_locked(key); lmul != 0) return lmul;
   ++stats_.misses;
 
   // Model-side pruning over the candidate set.

@@ -96,6 +96,13 @@ class AutoTuner {
   /// return 1 without touching the cache.
   [[nodiscard]] unsigned choose(const Key& key, const MeasureFn& measure);
 
+  /// choose()'s hit path under one lock and without a measure callback:
+  /// 1 when the tuner is disabled, else the cached winner for `key`
+  /// (syncing the reconfigure epoch and counting the hit exactly as choose
+  /// does), or 0 on a miss, which counts nothing: the caller then settles
+  /// the key with choose().
+  [[nodiscard]] unsigned cached(const Key& key);
+
   /// The recorded winner for `key`, or 0 when none is cached.
   [[nodiscard]] unsigned lookup(const Key& key) const;
 
@@ -135,6 +142,9 @@ class AutoTuner {
   /// Drop the cache when a machine reconfiguration happened since the last
   /// call.  Caller holds mu_.
   void sync_epoch_locked();
+
+  /// cached() with mu_ already held.
+  [[nodiscard]] unsigned cached_locked(const Key& key);
 
   mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> cache_;

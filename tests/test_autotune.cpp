@@ -132,6 +132,28 @@ TEST(AutoTuner, MachineReconfigurationInvalidatesOnNextLookup) {
   EXPECT_EQ(tuner.stats().misses, 2u);
 }
 
+TEST(AutoTuner, CachedAnswersOnlyHitsAndCountsThemLikeChoose) {
+  // The kernels' hit path: a miss answers 0 and counts nothing (choose()
+  // then counts it), a hit counts once, the reconfigure epoch drops stale
+  // winners, and a disabled tuner answers 1 without counting.
+  rvv::Machine machine({.vlen_bits = 512});
+  tune::AutoTuner tuner;
+  const FakeMeasure measure{.counts = {{1, 40}, {2, 20}, {4, 30}, {8, 50}}, .calls = {}};
+  const auto key = key_of(tune::Shape::kCopy, 8, 32, 512, 1);
+  EXPECT_EQ(tuner.cached(key), 0u);
+  EXPECT_EQ(tuner.stats().hits + tuner.stats().misses, 0u);
+  EXPECT_EQ(tuner.choose(key, measure), 2u);
+  EXPECT_EQ(tuner.cached(key), 2u);
+  EXPECT_EQ(tuner.stats().hits, 1u);
+  EXPECT_EQ(tuner.stats().misses, 1u);
+  machine.invalidate_exec_caches();
+  EXPECT_EQ(tuner.cached(key), 0u);
+  tuner.set_enabled(false);
+  EXPECT_EQ(tuner.cached(key), 1u);
+  EXPECT_EQ(tuner.stats().hits, 1u);
+  EXPECT_EQ(tuner.stats().misses, 1u);
+}
+
 TEST(AutoTuner, DisabledTunerAnswersLmul1WithoutCaching) {
   tune::AutoTuner tuner;
   tuner.set_enabled(false);
@@ -192,6 +214,7 @@ TEST(AutoTuner, TunedKernelReplaysAreStable) {
   std::vector<std::uint32_t> again(1000, 1);
   svm::plus_scan<std::uint32_t>(std::span<std::uint32_t>(again));
   EXPECT_EQ(tuner.stats().hits, 1u);
+  EXPECT_EQ(tuner.stats().misses, 1u);
   EXPECT_EQ(data, again);
 }
 
