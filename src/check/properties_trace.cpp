@@ -6,8 +6,8 @@
 // under reconfiguration, a trap unwinding a half-consumed replay, a fused
 // body's guard sending a trapping block to the interpreter (permute's
 // index check, pack's capacity check), an instruction deadline landing
-// inside a steady-state fused run, and a written operand partly overlapping
-// a read one.
+// inside a steady-state fused run, a written operand partly overlapping
+// a read one, and split's call-level replay and its fallbacks.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -430,12 +430,9 @@ std::string check_pack(const Case& c) {
     const auto kept = static_cast<std::size_t>(
         std::ranges::count_if(keep, [](T f) { return f != T{0}; }));
     constexpr T kSentinel = static_cast<T>(0x5A);
-    // A shape promotes once two of its blocks in a row keep the same count.
-    // That is certain by pass 2 for a tail block, a one-block call and
-    // uniform flags, so the cached machine must then have fused.
-    const std::size_t vlmax = rvv::vlmax_for(vlen, rvv::kSewBits<T>, L);
-    const bool must_fuse =
-        n > 0 && (n % vlmax != 0 || n == vlmax || kept == 0 || kept == n);
+    // Verification ignores each op's vl, so every shape promotes at its
+    // second execution whatever counts its blocks keep, and pass 2 fuses.
+    const bool must_fuse = n > 0;
     // With nothing kept no dst can be short: pass 3 is one more clean pass.
     std::vector<std::string> planted;
     if (kept > 0) planted.emplace_back("pass 3: capacity");
@@ -536,13 +533,21 @@ void run_fused_kernel(unsigned which, const std::vector<T>& a,
       static_cast<void>(svm::seg_reduce<svm::PlusOp, T, L>(ca, cf, std::span<T>(out)));
       return;
     }
+    case 15: {
+      // Warm, split replays at the call level; a deadline inside the call
+      // sends it back to its five loops.
+      out.assign(a.size(), T{0});
+      const std::size_t zeros = svm::split<T, L>(ca, std::span<T>(out), cf);
+      out.push_back(static_cast<T>(zeros));
+      return;
+    }
     default:
       out = a;
       return apps::split_radix_sort<T, L>(std::span<T>(out));
   }
 }
 
-constexpr unsigned kFusedKernelCount = 16;
+constexpr unsigned kFusedKernelCount = 17;
 
 /// An instruction deadline inside a warm fused strip-mine loop.  Seeded:
 /// the kernel, 0-3 warm-up calls (so the deadline call records, verifies or
@@ -559,10 +564,10 @@ std::string check_deadline(const Case& c) {
     const auto which = static_cast<unsigned>(rng.below(kFusedKernelCount));
     const auto warm = static_cast<int>(rng.below(4));
     std::size_t n = c.vl % (kMaxN + 1);
-    // A permutation's indices must fit T; the radix sort is capped to keep
-    // the interpreted side cheap.
+    // A permutation's (and split's) indices must fit T; the radix sort is
+    // capped to keep the interpreted side cheap.
     constexpr auto kMaxIndex = static_cast<std::size_t>(std::numeric_limits<UI>::max());
-    if (which == 7 && n > 0 && n - 1 > kMaxIndex) n = kMaxIndex + 1;
+    if ((which == 7 || which == 15) && n > 0 && n - 1 > kMaxIndex) n = kMaxIndex + 1;
     if (which == kFusedKernelCount - 1) n = std::min<std::size_t>(n, 512);
     const std::vector<T> a = to_elems<T>(c.a, n);
     const std::vector<T> b = to_elems<T>(c.b, n);
@@ -641,6 +646,142 @@ std::string check_deadline(const Case& c) {
     if (cached.regfile()->spill_count() != plain.regfile()->spill_count() ||
         cached.regfile()->reload_count() != plain.regfile()->reload_count()) {
       return "trace.deadline: register-file spill/reload stats diverge" + at;
+    }
+    return "";
+  });
+}
+
+/// split's call-level replay.  Seeded: n, element type and LMUL (the
+/// case's), a destination disjoint from the operands or overlapping src or
+/// the flags (the same span, or one element off), a non-binary flag in one
+/// of the calls, and a deadline on the last call.  The script makes six
+/// calls: with a disjoint destination the third stores a call record (the
+/// fourth, when the third has the non-binary flag), and a later call
+/// without the bad flag or the deadline replays it.  Cache on and off must agree on every
+/// call's result or trap point, on the data, on each call's per-class
+/// counts and on the register-file stats; a disjoint destination must
+/// replay at least one call, and an overlapping one none.
+std::string check_split(const Case& c) {
+  return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
+    using UI = std::make_unsigned_t<T>;
+    const unsigned vlen = norm_vlen(c.vlen);
+    Rng rng(c.scalar);
+    constexpr auto kMaxIndex = static_cast<std::size_t>(std::numeric_limits<UI>::max());
+    std::size_t n = c.vl % (kMaxN + 1);
+    if (n > 0 && n - 1 > kMaxIndex) n = kMaxIndex + 1;  // indices must fit T
+    constexpr int kCalls = 6;
+    // Layouts 0-3: dst apart.  4/5: dst is src, or one element below it.
+    // 6/7: the same against the flags.
+    const auto layout = static_cast<unsigned>(rng.below(8));
+    const bool apart = layout < 4;
+    const bool over_flags = layout >= 6;
+    const std::size_t dst_at = layout % 2 == 0 ? 1 : 0;
+    const int bad_call = rng.below(3) == 0 ? static_cast<int>(rng.below(kCalls)) : -1;
+    const std::size_t bad_at = static_cast<std::size_t>(rng.below(n));
+    const auto bad_value = static_cast<T>(2 + rng.below(254));
+    const bool deadline = rng.below(3) == 0;
+    const std::vector<T> src = to_elems<T>(c.a, n);
+    const auto fb = to_bits(c.m, n);
+    const std::vector<T> flags(fb.begin(), fb.end());
+
+    // One call: a buffer of n + 1 elements holds src (or the flags) from
+    // element 1, and dst from dst_at when it overlaps them; an apart dst
+    // is its own buffer.  Returns split's result or trap, and appends what
+    // the buffers hold afterwards to `data`.
+    const auto call = [&](int k, std::vector<T>& data) -> std::string {
+      std::vector<T> call_flags = flags;
+      if (k == bad_call && n > 0) call_flags[bad_at] = bad_value;
+      std::vector<T> shared(n + 1, static_cast<T>(0x5A));
+      std::copy(over_flags ? call_flags.begin() : src.begin(),
+                over_flags ? call_flags.end() : src.end(), shared.begin() + 1);
+      std::vector<T> own(n, static_cast<T>(0x5A));
+      const std::span<const T> in = std::span<const T>(shared).subspan(1, n);
+      const std::span<T> dst =
+          apart ? std::span<T>(own) : std::span<T>(shared).subspan(dst_at, n);
+      std::string result;
+      try {
+        result = "zeros " + std::to_string(
+                                over_flags
+                                    ? svm::split<T, L>(std::span<const T>(src), dst, in)
+                                    : svm::split<T, L>(in, dst, std::span<const T>(call_flags)));
+      } catch (const DeadlineTrap& e) {
+        result = "deadline at inst " + std::to_string(e.context().inst_number);
+      } catch (const std::exception& e) {
+        result = std::string("other: ") + e.what();
+      }
+      data.insert(data.end(), shared.begin(), shared.end());
+      data.insert(data.end(), own.begin(), own.end());
+      return result;
+    };
+
+    // The deadline lands anywhere from the call's first instruction to one
+    // past its last, where the call replays; a third of them on either edge.
+    std::uint64_t d = 0;
+    if (deadline) {
+      rvv::Machine probe({.vlen_bits = vlen, .use_exec_cache = false});
+      rvv::MachineScope scope(probe);
+      std::vector<T> scratch;
+      static_cast<void>(call(0, scratch));
+      const std::uint64_t call_insts = probe.counter().total();
+      d = rng.below(3) == 0 ? call_insts + rng.below(2) : 1 + rng.below(call_insts + 1);
+    }
+
+    struct Run {
+      std::string log;
+      std::vector<T> data;
+      std::vector<sim::CountSnapshot> deltas;
+    };
+    const auto script = [&](rvv::Machine& m) {
+      Run r;
+      rvv::MachineScope scope(m);
+      for (int k = 0; k < kCalls; ++k) {
+        const sim::CountSnapshot c0 = m.counter().snapshot();
+        if (deadline && k == kCalls - 1) {
+          m.set_instruction_deadline(m.counter().total() + d);
+        }
+        r.log += "call " + std::to_string(k) + ": " + call(k, r.data) + "; ";
+        m.clear_instruction_deadline();
+        r.deltas.push_back(m.counter().snapshot() - c0);
+      }
+      return r;
+    };
+    rvv::Machine cached({.vlen_bits = vlen});
+    rvv::Machine plain({.vlen_bits = vlen, .use_exec_cache = false});
+    const Run got = script(cached);
+    const Run want = script(plain);
+    const std::string at = " (n " + std::to_string(n) + ", layout " +
+                           std::to_string(layout) + ", bad flag in call " +
+                           std::to_string(bad_call) + ", deadline offset " +
+                           std::to_string(d) + ")";
+    if (got.log != want.log) {
+      return "trace.split: outcome diverges (cached: " + got.log +
+             "interpreted: " + want.log + ")" + at;
+    }
+    if (got.data != want.data) {
+      return "trace.split: cached data diverges from interpreted data" + at;
+    }
+    for (int k = 0; k < kCalls; ++k) {
+      if (std::string e = diff_counts("trace.split", k, got.deltas[static_cast<std::size_t>(k)],
+                                      want.deltas[static_cast<std::size_t>(k)]);
+          !e.empty()) {
+        return e + at;
+      }
+    }
+    const auto* cf = cached.regfile();
+    const auto* pf = plain.regfile();
+    if (cf->spill_count() != pf->spill_count() || cf->reload_count() != pf->reload_count() ||
+        cf->peak_registers() != pf->peak_registers()) {
+      return "trace.split: register-file stats diverge" + at;
+    }
+    const std::uint64_t replays = cached.exec_cache().stats().call_replays;
+    if (apart && replays == 0) {
+      return "trace.split: six calls with dst apart never replayed a call" + at;
+    }
+    // The same span overlaps once it is non-empty, a one-off span once it
+    // holds two elements.
+    const bool overlaps = !apart && n > 1 - dst_at;
+    if (overlaps && replays != 0) {
+      return "trace.split: a call with an overlapping dst replayed" + at;
     }
     return "";
   });
@@ -730,6 +871,7 @@ std::vector<Property> make_trace_properties() {
   add("trace.pack", check_pack);
   add("trace.deadline", check_deadline);
   add("trace.overlap", check_overlap);
+  add("trace.split", check_split);
   return props;
 }
 

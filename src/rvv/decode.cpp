@@ -3,6 +3,8 @@
 // in decode.hpp.
 #include "rvv/decode.hpp"
 
+#include <algorithm>
+
 namespace rvvsvm::rvv {
 
 bool ExecTracer::begin_iteration(ExecCache& cache, const TraceSite& site,
@@ -50,7 +52,6 @@ void ExecTracer::charge_fused_run(Trace& t, std::uint64_t blocks) {
     regfile_->add_replayed_traffic(t.bulk_spills * blocks,
                                    t.bulk_reloads * blocks);
   }
-  t.replays += blocks;
   ExecCacheStats& st = cache_->stats();
   st.trace_replays += blocks;
   st.trace_fused += blocks;
@@ -69,7 +70,7 @@ bool ExecTracer::record_begin(const char* name, sim::InstClass cls,
   const DecodedOp* op =
       cache_->decode(name, cls, sew_bits, lmul, masked, vlmax);
   scratch_.push_back(
-      TraceEntry{op, name, pack_meta(cls, vl, lmul, sew_bits, masked), vl, {}});
+      TraceEntry{op, name, pack_meta(cls, lmul, sew_bits, masked), vl, {}});
   op_snap_ = counter_->snapshot();
   if (regfile_ != nullptr) {
     rf_spill_snap_ = regfile_->spill_count();
@@ -89,7 +90,6 @@ void ExecTracer::end_iteration() {
           regfile_->add_replayed_traffic(trace_->bulk_spills,
                                          trace_->bulk_reloads);
         }
-        ++trace_->replays;
         ++cache_->stats().trace_replays;
         cache_->stats().ops_replayed += cursor_;
         mode_ = Mode::kIdle;
@@ -133,13 +133,17 @@ void ExecTracer::finish_record() {
     return;
   }
   const sim::CountSnapshot iter_delta = counter_->snapshot() - iter_snap_;
-  if (t.state == TraceState::kVerifying && scratch_ == t.entries &&
-      iter_delta == t.iter_total) {
-    // Two consecutive executions of this shape retired identical op
-    // sequences with identical per-op count deltas — and identical
+  if (t.state == TraceState::kVerifying && iter_delta == t.iter_total &&
+      std::ranges::equal(scratch_, t.entries, [](const TraceEntry& a,
+                                                 const TraceEntry& b) {
+        return a.charges_like(b);
+      })) {
+    // Two consecutive executions of this shape retired the same op
+    // sequence with identical per-op count deltas — and identical
     // whole-iteration totals, so the inter-op scalar bookkeeping is
     // reproducible too: promote.  The bulk charges are the recording's
-    // exact totals, so both replay flavors are count-exact.
+    // exact totals, so both replay flavors are count-exact (the entries
+    // keep the first recording's vls, which per-op replay matches).
     t.state = TraceState::kStable;
     t.bulk = sim::CountSnapshot{};
     t.bulk_spills = 0;

@@ -33,6 +33,12 @@
 // recording — degrades gracefully to the interpreted path, charging any
 // consumed replay prefix exactly.
 //
+// Call records sit on top of level 2 for a composite kernel whose loops all
+// fuse (svm::split): the first call of a (call site, n, SEW, LMUL) shape
+// whose every loop iteration replayed fused stores what the call retired,
+// and a later call of that shape charges the record in one add and runs
+// one host body in place of the loops (Machine::admit_call_replay).
+//
 // Everything here is per-Machine (one hart), so HartPool workers get
 // isolated caches for free.  No Machine dependency: the tracer operates on
 // the counter and register-file model directly.
@@ -59,7 +65,6 @@ struct DecodedOp {
   unsigned lmul = 1;
   bool masked = false;
   std::size_t vlmax = 0;          ///< capacity bound for this SEW/LMUL (0 for masks)
-  std::uint64_t executions = 0;   ///< decode-cache lookups resolved to this entry
 };
 
 /// Level-1 cache key.  Op names are string literals passed from a single
@@ -104,7 +109,7 @@ enum class TraceState : std::uint8_t {
 struct TraceEntry {
   const DecodedOp* op = nullptr;
   // Replay-hot denormalization of the op identity: `name` plus the packed
-  // (vl, cls, lmul, sew, masked) word let match() decide with two loads
+  // (cls, lmul, sew, masked) word let match() decide, with the op's vl,
   // from this (contiguous) entry instead of chasing `op`.
   const char* name = nullptr;
   std::uint64_t meta = 0;
@@ -117,7 +122,17 @@ struct TraceEntry {
   // model.
   std::uint64_t spill_events = 0;
   std::uint64_t reload_events = 0;
-  [[nodiscard]] bool operator==(const TraceEntry&) const noexcept = default;
+
+  /// Verification's equality: the same decoded op (name, class, SEW, LMUL,
+  /// masked) retiring the same counts and register-file events, at any vl.
+  /// A fused replay charges the trace's `iter_total` and never matches ops
+  /// one by one, so a body whose op vls follow the data (`pack` stores its
+  /// block's popcount) promotes once two executions charge alike; a per-op
+  /// replay still matches each op's vl in match() and diverges exactly.
+  [[nodiscard]] bool charges_like(const TraceEntry& o) const noexcept {
+    return op == o.op && delta == o.delta && spill_events == o.spill_events &&
+           reload_events == o.reload_events;
+  }
 };
 
 /// A replayable strip-mine iteration for one (site, shape) key.
@@ -132,7 +147,6 @@ struct Trace {
   sim::CountSnapshot iter_total;
   std::uint64_t bulk_spills = 0;  ///< sum of entry spill *events* (not insts)
   std::uint64_t bulk_reloads = 0;
-  std::uint64_t replays = 0;
 };
 
 /// Level-2 cache key: the loop's source identity plus its dynamic shape.
@@ -154,6 +168,21 @@ struct TraceKeyHash {
   }
 };
 
+/// What one call of a composite kernel retired while every iteration of
+/// every one of its strip-mine loops replayed fused.  A later call of the
+/// same shape charges exactly this instead of running the loops: the
+/// counter delta (the loops' prologues, vsetvls, trace totals and scalar
+/// bookkeeping, as observed), the register-file spill and reload *events*
+/// the fused replays mirrored, and the exec-cache stats they advanced.
+struct CallRecord {
+  sim::CountSnapshot delta;
+  std::uint64_t spill_events = 0;
+  std::uint64_t reload_events = 0;
+  std::uint64_t trace_replays = 0;
+  std::uint64_t trace_fused = 0;
+  std::uint64_t ops_replayed = 0;
+};
+
 struct ExecCacheStats {
   std::uint64_t decode_hits = 0;
   std::uint64_t decode_misses = 0;
@@ -164,6 +193,7 @@ struct ExecCacheStats {
   std::uint64_t trace_aborts = 0;      ///< replays aborted on divergence
   std::uint64_t trace_poisons = 0;     ///< traces retired as unreplayable
   std::uint64_t ops_replayed = 0;      ///< per-op charges satisfied from a trace
+  std::uint64_t call_replays = 0;      ///< calls charged from a call record
   std::uint64_t invalidations = 0;     ///< invalidate() calls
 };
 
@@ -175,6 +205,7 @@ class ExecCache {
   /// simply interprets; nothing stored is evicted.
   static constexpr std::size_t kMaxTraces = 512;
   static constexpr std::size_t kMaxTraceOps = 4096;
+  static constexpr std::size_t kMaxCallRecords = 512;
 
   /// Level-1 lookup: resolve an op to its DecodedOp entry, creating it on
   /// first execution.  The returned pointer is stable until invalidate().
@@ -184,12 +215,11 @@ class ExecCache {
     const DecodedKey key{name, cls, sew_bits, lmul, masked};
     auto [it, inserted] = decoded_.try_emplace(key);
     if (inserted) {
-      it->second = DecodedOp{name, cls, sew_bits, lmul, masked, vlmax, 0};
+      it->second = DecodedOp{name, cls, sew_bits, lmul, masked, vlmax};
       ++stats_.decode_misses;
     } else {
       ++stats_.decode_hits;
     }
-    ++it->second.executions;
     return &it->second;
   }
 
@@ -220,13 +250,33 @@ class ExecCache {
     return t;
   }
 
-  /// Drop every decoded op and trace.  Traces hold pointers into the
-  /// decoded table, so the two levels always clear together.  This is the
+  /// The call record of one (call site, n, SEW, LMUL) shape, or nullptr.
+  /// Keyed like a trace, with the call's n in the vl slot.
+  [[nodiscard]] const CallRecord* call_record(const void* site, std::size_t n,
+                                              unsigned sew_bits,
+                                              unsigned lmul) const {
+    const auto it = calls_.find(TraceKey{site, n, sew_bits, lmul});
+    return it != calls_.end() ? &it->second : nullptr;
+  }
+
+  /// Store a shape's call record.  A shape keeps its first record, and a
+  /// full table stores nothing: later calls of a new shape run their loops.
+  void store_call_record(const void* site, std::size_t n, unsigned sew_bits,
+                         unsigned lmul, const CallRecord& record) {
+    if (calls_.size() < kMaxCallRecords) {
+      calls_.try_emplace(TraceKey{site, n, sew_bits, lmul}, record);
+    }
+  }
+
+  /// Drop every decoded op, trace and call record.  Traces hold pointers
+  /// into the decoded table, and a call record stands for calls whose
+  /// traces are stable, so all three always clear together.  This is the
   /// single invalidation path: Machine::invalidate_exec_caches() routes
   /// reconfigure, snapshot restore, and tuner epoch bumps through here.
   void invalidate() noexcept {
     decoded_.clear();
     traces_.clear();
+    calls_.clear();
     memo_key_ = TraceKey{};
     memo_trace_ = nullptr;
     ++stats_.invalidations;
@@ -240,10 +290,14 @@ class ExecCache {
   [[nodiscard]] std::size_t trace_count() const noexcept {
     return traces_.size();
   }
+  [[nodiscard]] std::size_t call_record_count() const noexcept {
+    return calls_.size();
+  }
 
  private:
   std::unordered_map<DecodedKey, DecodedOp, DecodedKeyHash> decoded_;
   std::unordered_map<TraceKey, Trace, TraceKeyHash> traces_;
+  std::unordered_map<TraceKey, CallRecord, TraceKeyHash> calls_;
   TraceKey memo_key_{};          // last trace() key; site nullptr = empty
   Trace* memo_trace_ = nullptr;  // bucket for memo_key_
   ExecCacheStats stats_;
@@ -320,7 +374,8 @@ class ExecTracer {
                            bool masked) {
     if (cursor_ < trace_->entries.size()) {
       const TraceEntry& e = trace_->entries[cursor_];
-      if (e.name == name && e.meta == pack_meta(cls, vl, lmul, sew_bits, masked)) {
+      if (e.name == name && e.vl == vl &&
+          e.meta == pack_meta(cls, lmul, sew_bits, masked)) {
         ++cursor_;  // ops_replayed is settled in bulk when the iteration ends
         return true;
       }
@@ -352,15 +407,13 @@ class ExecTracer {
   void record_abandon() { scratch_.pop_back(); }
 
  private:
-  /// Pack everything but the name into one word so match() is two compares.
-  /// vl bounds ~2^44 (vlmax for any supported VLEN is far smaller), cls < 256,
-  /// lmul <= 8, sew_bits <= 64, so the fields cannot collide.
+  /// Pack the op's configuration into one word so match() is three
+  /// compares.  cls < 256, lmul <= 8, sew_bits <= 64, so the fields cannot
+  /// collide.
   [[nodiscard]] static std::uint64_t pack_meta(sim::InstClass cls,
-                                               std::size_t vl, unsigned lmul,
-                                               unsigned sew_bits,
+                                               unsigned lmul, unsigned sew_bits,
                                                bool masked) noexcept {
-    return (static_cast<std::uint64_t>(vl) << 20) |
-           (static_cast<std::uint64_t>(cls) << 12) |
+    return (static_cast<std::uint64_t>(cls) << 12) |
            (static_cast<std::uint64_t>(lmul) << 8) |
            (static_cast<std::uint64_t>(sew_bits) << 1) |
            static_cast<std::uint64_t>(masked);

@@ -72,6 +72,28 @@ Machine::Machine(Config cfg)
 
 Machine::~Machine() = default;
 
+void Machine::record_call(const TraceSite& site, std::size_t n,
+                          unsigned sew_bits, unsigned lmul, const CallMark& mark,
+                          std::uint64_t iterations) {
+  const ExecCacheStats& st = exec_cache_.stats();
+  if (st.trace_fused - mark.stats.trace_fused != iterations ||
+      st.trace_records != mark.stats.trace_records ||
+      st.trace_aborts != mark.stats.trace_aborts ||
+      st.trace_poisons != mark.stats.trace_poisons) {
+    return;
+  }
+  CallRecord r;
+  r.delta = counter_.snapshot() - mark.counts;
+  if (regfile_ != nullptr) {
+    r.spill_events = regfile_->spill_count() - mark.spills;
+    r.reload_events = regfile_->reload_count() - mark.reloads;
+  }
+  r.trace_replays = st.trace_replays - mark.stats.trace_replays;
+  r.trace_fused = st.trace_fused - mark.stats.trace_fused;
+  r.ops_replayed = st.ops_replayed - mark.stats.ops_replayed;
+  exec_cache_.store_call_record(&site, n, sew_bits, lmul, r);
+}
+
 Machine& Machine::active() {
   if (g_active_machine == nullptr) {
     throw std::logic_error(

@@ -243,6 +243,75 @@ class Machine {
     scalar_.charge(step, blocks);
   }
 
+  /// Call-level replay of a composite kernel whose strip-mine loops all
+  /// fuse (svm::split): the machine's half of its entry conditions.  The
+  /// cache is on, no fault channel is armed, the tracer is idle (so the
+  /// call is not nested in a recording) and no vector value is live.  The
+  /// kernel adds its own half: operand layout and input values.
+  [[nodiscard]] bool call_replay_ready() const noexcept {
+    return cfg_.use_exec_cache && !fault_armed() && !tracer_.engaged() &&
+           (regfile_ == nullptr || regfile_->live_values() == 0);
+  }
+
+  /// The stored record of `site`'s call at n, when it may be charged now:
+  /// no deadline is armed, or total + the record's total < deadline, so no
+  /// vsetvl poll of the loops it stands for could trap.  nullptr otherwise;
+  /// the kernel then runs its loops, which trap where the interpreter's do.
+  /// Call only while call_replay_ready() holds.
+  [[nodiscard]] const CallRecord* admit_call_replay(const TraceSite& site,
+                                                    std::size_t n,
+                                                    unsigned sew_bits,
+                                                    unsigned lmul) const {
+    const CallRecord* r = exec_cache_.call_record(&site, n, sew_bits, lmul);
+    if (r == nullptr || inst_deadline_ == 0) return r;
+    const std::uint64_t total = counter_.total();
+    return total < inst_deadline_ && r->delta.total() < inst_deadline_ - total
+               ? r
+               : nullptr;
+  }
+
+  /// Charge an admitted call record in one step: its counts, its
+  /// register-file events and its exec-cache stats.  No fault channel is
+  /// armed, so its instructions need no hook window.
+  void charge_call_replay(const CallRecord& r) {
+    counter_.add_all(r.delta);
+    if (regfile_ != nullptr) {
+      regfile_->add_replayed_traffic(r.spill_events, r.reload_events);
+    }
+    ExecCacheStats& st = exec_cache_.stats();
+    st.trace_replays += r.trace_replays;
+    st.trace_fused += r.trace_fused;
+    st.ops_replayed += r.ops_replayed;
+    ++st.call_replays;
+  }
+
+  /// The machine's counts, register-file events and exec-cache stats at
+  /// the start of a call that may become a call record.
+  struct CallMark {
+    sim::CountSnapshot counts;
+    std::uint64_t spills = 0;
+    std::uint64_t reloads = 0;
+    ExecCacheStats stats;
+  };
+  [[nodiscard]] CallMark mark_call() const noexcept {
+    CallMark mark{counter_.snapshot(), 0, 0, exec_cache_.stats()};
+    if (regfile_ != nullptr) {
+      mark.spills = regfile_->spill_count();
+      mark.reloads = regfile_->reload_count();
+    }
+    return mark;
+  }
+
+  /// Store the call since `mark` as `site`'s record at n, when every one
+  /// of its `iterations` strip-mine iterations replayed fused and nothing
+  /// recorded, aborted or poisoned meanwhile.  The record is what the
+  /// loops were observed to retire; the kernel restates none of it.  Call
+  /// only for a call that met the entry conditions (call_replay_ready()
+  /// and the kernel's own half) when it started.
+  void record_call(const TraceSite& site, std::size_t n, unsigned sew_bits,
+                   unsigned lmul, const CallMark& mark,
+                   std::uint64_t iterations);
+
   /// The machine the intrinsic-style free functions execute on.
   /// Throws std::logic_error when no MachineScope is active.
   [[nodiscard]] static Machine& active();

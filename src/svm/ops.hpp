@@ -136,10 +136,66 @@ void get_flags(std::span<const T> src, std::span<T> flags, unsigned bit) {
   }
 }
 
+namespace detail {
+
+/// True when every flag is 0 or 1 (their OR is at most 1 exactly then);
+/// `zeros` is then how many are 0.
+template <rvv::VectorElement T>
+[[nodiscard]] bool count_binary_zeros(std::span<const T> flags, std::size_t& zeros) {
+  using W = rvv::detail::Wide<T>;
+  W any = 0;
+  std::size_t ones = 0;
+  for (const T f : flags) {
+    any |= static_cast<W>(f);
+    ones += static_cast<W>(f);
+  }
+  zeros = flags.size() - ones;
+  return any <= 1;
+}
+
+/// Stable partition of src by 0/1 flags into dst: the 0-flagged elements
+/// from dst[0] and the 1-flagged ones from dst[zeros], each stored at the
+/// cursor its flag selects and that cursor advanced, with no branch on the
+/// flag.
+template <rvv::VectorElement T>
+void partition_binary(std::span<const T> src, std::span<const T> flags,
+                      std::span<T> dst, std::size_t zeros) {
+  const T* ps = src.data();
+  const T* pf = flags.data();
+  T* pd = dst.data();
+  std::size_t lo = 0;
+  std::size_t hi = zeros;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const std::size_t one = static_cast<rvv::detail::Wide<T>>(pf[i]);
+    pd[one != 0 ? hi : lo] = ps[i];
+    hi += one;
+    lo += one ^ 1u;
+  }
+}
+
+}  // namespace detail
+
 /// split (paper Listing 7 / Figure 3): stable-partitions src into dst by
 /// flag value — elements with flag 0 first (original order preserved),
 /// then elements with flag 1.  Returns the number of 0-flagged elements.
 /// `flags` must contain only 0 and 1.
+///
+/// Emulated, split is five strip-mine loops: enumerate twice, p-add,
+/// p-select and the permute that scatters src through the indices the
+/// first four build in two n-element temporaries.  Once all five replay
+/// fused, a call is their charges and one scatter, so it replays at the
+/// call level (rvv::Machine::admit_call_replay).  The first call of a
+/// (call site, n, SEW, LMUL) shape in which every iteration of every loop
+/// replayed fused stores what it retired; a later call of that shape
+/// charges the record in one add and runs the composite body instead of
+/// the loops: one pass checks that every flag is 0 or 1 and counts the
+/// zeros, and a second stable-partitions src into dst with two cursors.
+/// It builds no temporaries.  A call replays only when the machine is
+/// ready (cache on, no fault channel armed, tracer idle, no live vector
+/// values), `dst` is disjoint from `src` and `flags`, every flag is 0 or 1
+/// (checked before anything is written), and any armed deadline lies
+/// beyond the call's last instruction; any other call runs the loops, and
+/// a deadline inside it traps where the interpreter's does.
 template <rvv::VectorElement T, unsigned LMUL = kTunedLmul>
 std::size_t split(std::span<const T> src, std::span<T> dst, std::span<const T> flags) {
   if constexpr (LMUL == kTunedLmul) {
@@ -165,17 +221,37 @@ std::size_t split(std::span<const T> src, std::span<T> dst, std::span<const T> f
   if (n != 0 && n - 1 > static_cast<std::size_t>(std::numeric_limits<T>::max())) {
     detail::invalid_input("split", "destination indices overflow the element type; widen first");
   }
+  rvv::Machine& m = rvv::Machine::active();
+  static const rvv::TraceSite site{};
+  std::size_t zeros = 0;
+  const bool eligible = m.call_replay_ready() &&
+                        detail::disjoint<T>(dst.first(n), src) &&
+                        detail::disjoint<T>(dst.first(n), flags.first(n)) &&
+                        detail::count_binary_zeros(flags.first(n), zeros);
+  if (eligible) {
+    if (const rvv::CallRecord* r = m.admit_call_replay(site, n, rvv::kSewBits<T>, LMUL)) {
+      m.charge_call_replay(*r);
+      detail::partition_binary(src, flags, dst, zeros);
+      return zeros;
+    }
+  }
+  const rvv::Machine::CallMark mark = m.mark_call();
   // Destinations of the 0- and 1-flagged elements.  enumerate writes every
   // element before anything reads one, so the buffers start uninitialized.
   const auto down_buf = std::make_unique_for_overwrite<T[]>(n);
   const auto up_buf = std::make_unique_for_overwrite<T[]>(n);
   const std::span<T> i_down(down_buf.get(), n);
   const std::span<T> i_up(up_buf.get(), n);
-  const std::size_t count = enumerate<T, LMUL>(flags, i_down, false);
-  static_cast<void>(enumerate<T, LMUL>(flags, i_up, true));
+  const std::span<const T> f = flags.first(n);
+  const std::size_t count = enumerate<T, LMUL>(f, i_down, false);
+  static_cast<void>(enumerate<T, LMUL>(f, i_up, true));
   p_add<T, LMUL>(i_up, static_cast<T>(count));
-  p_select<T, LMUL>(flags, std::span<const T>(i_up), i_down);
+  p_select<T, LMUL>(f, std::span<const T>(i_up), i_down);
   permute<T, LMUL>(src, dst, std::span<const T>(i_down));
+  if (eligible) {
+    const std::size_t vlmax = m.vlmax<T>(LMUL);
+    m.record_call(site, n, rvv::kSewBits<T>, LMUL, mark, 5 * ((n + vlmax - 1) / vlmax));
+  }
   return count;
   }
 }

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -300,10 +302,9 @@ std::pair<u64, u64> steady_state_replays(rvv::Machine& m, Kernel kernel) {
 
 /// Keep flags whose 4-element blocks keep 1, 2, 3, 1, 2, 3, ... elements, so
 /// neighbouring blocks always pack a different count at VLMAX 4 — and at
-/// VLMAX 32 too (blocks keep 15, 16, 17, ...).  The trace of a full block
-/// promotes only when two blocks in a row store the same count, which here
-/// happens across calls: the last full block of a call keeps what block 0
-/// keeps whenever the call has 3j + 1 full blocks.
+/// VLMAX 32 too (blocks keep 15, 16, 17, ...).  Verification ignores each
+/// op's vl, so the trace of a full block still promotes at the call's
+/// second block.
 std::vector<u32> alternating_keep_flags(std::size_t n) {
   std::vector<u32> keep(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -475,7 +476,7 @@ TEST(ExecCache, PackCapacityTrapsLikeTheInterpreter) {
                                std::span<u32>(r.dst).first(dst_len),
                                std::span<const u32>(keep));
     };
-    EXPECT_EQ(pack(kept), kept);  // record; block 0 of the next call promotes
+    EXPECT_EQ(pack(kept), kept);  // record, verify, then fused
     EXPECT_EQ(pack(kept), kept);
     std::fill(r.dst.begin(), r.dst.end(), 0xA5A5A5A5u);
     bool trapped = false;
@@ -514,6 +515,44 @@ TEST(ExecCache, PackCapacityTrapsLikeTheInterpreter) {
   EXPECT_EQ(st.trace_replays - before.trace_replays, kN / 4);
   EXPECT_EQ(st.trace_fused - before.trace_fused, kN / 4);
   EXPECT_EQ(st.trace_records, before.trace_records);
+}
+
+TEST(ExecCache, PackPromotesWhateverCountItsBlocksStore) {
+  // VLEN 128, u32, LMUL 1: 251 full blocks keeping 1, 2, 3, 1, ... elements,
+  // so no two neighbouring blocks store the same count, nor does a call's
+  // last block and the next call's first.  Verification compares each op's
+  // class, counts and register-file events but not its vl, so the trace
+  // promotes at block 1 of the first call and every block after that runs
+  // fused; data and counts stay the interpreter's.
+  constexpr std::size_t kBlocks = 251;
+  constexpr std::size_t kN = 4 * kBlocks;
+  constexpr std::size_t kCalls = 10;
+  const std::vector<u32> src = iota_data(kN);
+  const std::vector<u32> keep = alternating_keep_flags(kN);
+  rvv::Machine cached({.vlen_bits = 128});
+  rvv::Machine plain({.vlen_bits = 128, .use_exec_cache = false});
+  std::vector<u32> got, want;
+  for (rvv::Machine* m : {&cached, &plain}) {
+    rvv::MachineScope scope(*m);
+    std::vector<u32>& log = m == &cached ? got : want;
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      std::vector<u32> dst(kN, 0xA5A5A5A5u);
+      log.push_back(static_cast<u32>(svm::pack<u32, 1>(
+          std::span<const u32>(src), std::span<u32>(dst), std::span<const u32>(keep))));
+      log.insert(log.end(), dst.begin(), dst.end());
+    }
+  }
+  EXPECT_EQ(got, want);
+  expect_same_counts(cached.counter().snapshot(), plain.counter().snapshot(),
+                     "pack with varying block counts");
+  EXPECT_EQ(cached.regfile()->spill_count(), plain.regfile()->spill_count());
+  EXPECT_EQ(cached.regfile()->reload_count(), plain.regfile()->reload_count());
+  const rvv::ExecCacheStats& st = cached.exec_cache().stats();
+  EXPECT_EQ(st.trace_records, 1u);
+  EXPECT_EQ(st.trace_promotions, 1u);
+  EXPECT_EQ(st.trace_fused, kCalls * kBlocks - 2);
+  EXPECT_EQ(st.trace_replays, st.trace_fused);
+  EXPECT_EQ(st.trace_poisons, 0u);
 }
 
 TEST(ExecCache, InPlacePackRunsInterpreted) {
@@ -773,10 +812,8 @@ const RunKernel& fused_kernel(std::string_view name) {
 
 TEST(ExecCache, FusedRunsChargeLikeTheInterpreter) {
   // n = 1001 leaves a tail at every VLMAX here.  Calls 1 and 2 record and
-  // verify both shapes (pack's full-block shape promotes at block 0 of call
-  // 2, see alternating_keep_flags); on call 3 block 0 replays fused, every
-  // later full block runs in one steady-state run, and the tail replays
-  // fused alone.
+  // verify both shapes; on call 3 block 0 replays fused, every later full
+  // block runs in one steady-state run, and the tail replays fused alone.
   constexpr std::size_t kN = 1001;
   const RunInputs in = run_inputs(kN);
   std::uint64_t m8_spills = 0;
@@ -1069,6 +1106,248 @@ void expect_narrow_enumerate_exact() {
 TEST(ExecCache, NarrowEnumerateWrapsDstAndCountsExactly) {
   expect_narrow_enumerate_exact<std::uint8_t>();
   expect_narrow_enumerate_exact<std::uint16_t>();
+}
+
+// --- call-level replay (svm::split) ---------------------------------------
+
+/// One split call on one machine: what it returned or trapped with (kind
+/// and instruction number), the buffer it wrote, and what it charged.
+template <class T>
+struct SplitOutcome {
+  std::string result;
+  std::vector<T> written;
+  sim::CountSnapshot counts;
+  std::optional<u64> trap_offset;  ///< the trap's instruction within the call
+};
+
+/// A cache-on and a cache-off machine taking the same split calls.  Every
+/// call must have the same outcome on both.
+template <class T>
+struct SplitMachines {
+  rvv::Machine cached;
+  rvv::Machine plain;
+
+  explicit SplitMachines(unsigned vlen)
+      : cached({.vlen_bits = vlen}),
+        plain({.vlen_bits = vlen, .use_exec_cache = false}) {}
+
+  /// Runs `call(m, buf)` on each machine and compares the outcomes.  The
+  /// call fills `buf` (a fresh vector per machine), calls split with its
+  /// destination inside it, and returns split's result.
+  template <class Call>
+  SplitOutcome<T> run(Call&& call, const std::string& what) {
+    const auto on = [&](rvv::Machine& m) {
+      rvv::MachineScope scope(m);
+      SplitOutcome<T> o;
+      const sim::CountSnapshot c0 = m.counter().snapshot();
+      try {
+        o.result = "zeros " + std::to_string(call(m, o.written));
+      } catch (const Trap& e) {
+        o.result = std::string(sim::to_string(e.kind())) + " at inst " +
+                   std::to_string(e.context().inst_number);
+        o.trap_offset = e.context().inst_number - c0.total();
+      }
+      m.clear_instruction_deadline();
+      o.counts = m.counter().snapshot() - c0;
+      return o;
+    };
+    const SplitOutcome<T> got = on(cached);
+    const SplitOutcome<T> want = on(plain);
+    EXPECT_EQ(got.result, want.result) << what;
+    EXPECT_EQ(got.written, want.written) << what;
+    expect_same_counts(got.counts, want.counts, what.c_str());
+    return got;
+  }
+
+  /// A call of split<T, L> over seeded data and 0/1 flags, with a deadline
+  /// `deadline` instructions on when that is non-zero.
+  template <unsigned L>
+  SplitOutcome<T> clean(std::size_t n, std::uint32_t seed, u64 deadline = 0) {
+    const std::vector<T> src = test::random_vector<T>(n, seed);
+    const std::vector<T> flags = test::random_vector<T>(n, seed + 1, 2);
+    return run(
+        [&](rvv::Machine& m, std::vector<T>& dst) {
+          dst.assign(n, T{0x5A});
+          if (deadline != 0) {
+            m.set_instruction_deadline(m.counter().total() + deadline);
+          }
+          return svm::split<T, L>(std::span<const T>(src), std::span<T>(dst),
+                                  std::span<const T>(flags));
+        },
+        "seed " + std::to_string(seed) + ", deadline " + std::to_string(deadline));
+  }
+
+  [[nodiscard]] const rvv::ExecCacheStats& stats() const {
+    return cached.exec_cache().stats();
+  }
+  [[nodiscard]] std::size_t records() const {
+    return cached.exec_cache().call_record_count();
+  }
+
+  void expect_same_regfile() {
+    EXPECT_EQ(cached.regfile()->spill_count(), plain.regfile()->spill_count());
+    EXPECT_EQ(cached.regfile()->reload_count(), plain.regfile()->reload_count());
+    EXPECT_EQ(cached.regfile()->peak_registers(), plain.regfile()->peak_registers());
+  }
+};
+
+template <class T>
+class CallReplay : public testing::Test {};
+using SplitElementTypes =
+    testing::Types<std::uint8_t, std::uint16_t, std::uint32_t, std::uint64_t>;
+TYPED_TEST_SUITE(CallReplay, SplitElementTypes);
+
+TYPED_TEST(CallReplay, MatchesTheInterpreterAtEverySizeAndLmul) {
+  // Five calls per shape, each over fresh data and flags.  However the
+  // shape's blocks split, its five loops all replay fused by the third call,
+  // which stores the record, so at least the last two replay the call.
+  using T = TypeParam;
+  const auto at_lmul = [&]<unsigned L>() {
+    const std::size_t vlmax = rvv::vlmax_for(128, rvv::kSewBits<T>, L);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, vlmax - 1, vlmax,
+                                vlmax + 1, 3 * vlmax + 5, std::size_t{16384}}) {
+      // Destination indices live in T: u8 splits at most 256 elements.
+      if (n > std::size_t{std::numeric_limits<T>::max()} + 1) continue;
+      SCOPED_TRACE(testing::Message() << "n " << n << " at LMUL " << L);
+      SplitMachines<T> ms(128);
+      for (std::uint32_t call = 0; call < 5; ++call) {
+        static_cast<void>(ms.template clean<L>(n, 10 * call));
+      }
+      ms.expect_same_regfile();
+      EXPECT_GE(ms.stats().call_replays, 2u);
+      EXPECT_EQ(ms.records(), 1u);
+      EXPECT_EQ(ms.stats().trace_aborts, 0u);
+      EXPECT_EQ(ms.stats().trace_poisons, 0u);
+    }
+  };
+  at_lmul.template operator()<1>();
+  at_lmul.template operator()<2>();
+  at_lmul.template operator()<4>();
+  at_lmul.template operator()<8>();
+}
+
+// The fallbacks below run at VLEN 128, u32, LMUL 2 (VLMAX 8) with n = 29:
+// three full blocks and a tail.  Three calls record, verify and then fuse
+// every block, and the third stores the call record.
+constexpr std::size_t kSplitN = 29;
+constexpr std::size_t kSplitBlocks = 4;
+
+void warm(SplitMachines<u32>& ms) {
+  static_cast<void>(ms.clean<2>(kSplitN, 1));
+  EXPECT_EQ(ms.records(), 0u) << "a call that recorded traces stored a record";
+  static_cast<void>(ms.clean<2>(kSplitN, 2));
+  static_cast<void>(ms.clean<2>(kSplitN, 3));
+  EXPECT_EQ(ms.records(), 1u);
+  EXPECT_EQ(ms.stats().call_replays, 0u);
+}
+
+TEST(CallReplayFallback, NonBinaryFlagRunsTheLoops) {
+  SplitMachines<u32> ms(128);
+  warm(ms);
+  const std::vector<u32> src = iota_data(kSplitN);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{13}, kSplitN - 1}) {
+    std::vector<u32> flags = test::random_vector<u32>(kSplitN, 7, 2);
+    flags[at] = 2;
+    ms.run(
+        [&](rvv::Machine&, std::vector<u32>& dst) {
+          dst.assign(kSplitN, 0x5A);
+          return svm::split<u32, 2>(std::span<const u32>(src), std::span<u32>(dst),
+                                    std::span<const u32>(flags));
+        },
+        "flag 2 at " + std::to_string(at));
+  }
+  EXPECT_EQ(ms.stats().call_replays, 0u);
+  static_cast<void>(ms.clean<2>(kSplitN, 4));  // the record is still there
+  EXPECT_EQ(ms.stats().call_replays, 1u);
+  ms.expect_same_regfile();
+}
+
+TEST(CallReplayFallback, OverlappingDestinationRunsTheLoops) {
+  // One buffer holds src (or the flags) from element 1 and dst from element
+  // 0 or 1; the other operand lives apart.  The composite body would read
+  // what it had already written.
+  SplitMachines<u32> ms(128);
+  warm(ms);
+  const std::vector<u32> data = iota_data(kSplitN + 1);
+  const std::vector<u32> flag_bits = test::random_vector<u32>(kSplitN + 1, 8, 2);
+  struct Layout {
+    const char* name;
+    bool over_flags;
+    std::size_t dst_at;
+  };
+  for (const Layout& layout : {Layout{"dst == src", false, 1},
+                               Layout{"dst == src - 1", false, 0},
+                               Layout{"dst == flags", true, 1},
+                               Layout{"dst == flags - 1", true, 0}}) {
+    ms.run(
+        [&](rvv::Machine&, std::vector<u32>& shared) {
+          shared = layout.over_flags ? flag_bits : data;
+          const std::vector<u32>& apart = layout.over_flags ? data : flag_bits;
+          const auto in = std::span<const u32>(shared).subspan(1, kSplitN);
+          const auto other = std::span<const u32>(apart).first(kSplitN);
+          const auto dst = std::span<u32>(shared).subspan(layout.dst_at, kSplitN);
+          return layout.over_flags ? svm::split<u32, 2>(other, dst, in)
+                                   : svm::split<u32, 2>(in, dst, other);
+        },
+        layout.name);
+  }
+  EXPECT_EQ(ms.stats().call_replays, 0u);
+  static_cast<void>(ms.clean<2>(kSplitN, 4));
+  EXPECT_EQ(ms.stats().call_replays, 1u);
+  ms.expect_same_regfile();
+}
+
+TEST(CallReplayFallback, DeadlineInsideTheCallRunsTheLoops) {
+  // Sweep the deadline over every instruction of a warm call.  A deadline
+  // at or before the call's last instruction runs the five loops, which
+  // trap at each of their vsetvls in turn; one past it replays the call.
+  SplitMachines<u32> ms(128);
+  warm(ms);
+  const u64 call_insts = ms.clean<2>(kSplitN, 4).counts.total();
+  ASSERT_EQ(ms.stats().call_replays, 1u);
+  std::set<u64> trap_points;
+  for (u64 d = 1; d <= call_insts + 1; ++d) {
+    const u64 replays = ms.stats().call_replays;
+    const SplitOutcome<u32> o = ms.clean<2>(kSplitN, 5, d);
+    EXPECT_EQ(ms.stats().call_replays - replays, d > call_insts ? 1u : 0u)
+        << "deadline offset " << d;
+    if (o.trap_offset) trap_points.insert(*o.trap_offset);
+  }
+  // The deadline trapped inside every one of the five loops, at each of
+  // their blocks' vsetvls.
+  EXPECT_EQ(trap_points.size(), 5 * kSplitBlocks);
+  ms.expect_same_regfile();
+}
+
+TEST(CallReplayFallback, ArmedFaultHookRunsTheLoops) {
+  SplitMachines<u32> ms(128);
+  warm(ms);
+  check::FaultInjector probe({});  // passive: observes, never fires
+  ms.cached.set_fault_hook(&probe);
+  ms.plain.set_fault_hook(&probe);
+  static_cast<void>(ms.clean<2>(kSplitN, 4));
+  EXPECT_EQ(ms.stats().call_replays, 0u);
+  ms.cached.set_fault_hook(nullptr);
+  ms.plain.set_fault_hook(nullptr);
+  static_cast<void>(ms.clean<2>(kSplitN, 5));
+  EXPECT_EQ(ms.stats().call_replays, 1u);
+  ms.expect_same_regfile();
+}
+
+TEST(CallReplayFallback, InvalidationDropsTheRecords) {
+  SplitMachines<u32> ms(128);
+  warm(ms);
+  ms.cached.invalidate_exec_caches();
+  EXPECT_EQ(ms.records(), 0u);
+  // The traces went too: record, verify, fuse and store again.
+  for (std::uint32_t seed = 4; seed < 7; ++seed) {
+    static_cast<void>(ms.clean<2>(kSplitN, seed));
+  }
+  EXPECT_EQ(ms.stats().call_replays, 0u);
+  EXPECT_EQ(ms.records(), 1u);
+  static_cast<void>(ms.clean<2>(kSplitN, 7));
+  EXPECT_EQ(ms.stats().call_replays, 1u);
+  ms.expect_same_regfile();
 }
 
 }  // namespace

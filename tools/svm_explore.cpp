@@ -232,7 +232,9 @@ void run_kernel(const Options& opt) {
               << machine.exec_cache().trace_count() << " traces ("
               << cs.trace_replays << " replays, " << cs.trace_fused
               << " fused, " << cs.ops_replayed << " ops replayed, "
-              << cs.trace_aborts << " aborts)\n";
+              << cs.trace_aborts << " aborts), "
+              << machine.exec_cache().call_record_count() << " call records ("
+              << cs.call_replays << " call replays)\n";
   } else {
     std::cout << "exec cache: disabled (interpreted path)\n";
   }
