@@ -7,7 +7,8 @@
 // body's guard sending a trapping block to the interpreter (permute's
 // index check, pack's capacity check), an instruction deadline landing
 // inside a steady-state fused run, a written operand partly overlapping
-// a read one, and split's call-level replay and its fallbacks.
+// a read one, and the call-level replays of split and of the radix sort's
+// passes, with their fallbacks.
 //
 // Counts are the paper's currency, so these properties compare per-pass
 // CountSnapshot deltas class by class, plus the register-file model's
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/histogram.hpp"
 #include "apps/radix_sort.hpp"
 #include "check/harness.hpp"
 #include "check/oracle.hpp"
@@ -221,18 +223,43 @@ std::string check_invalidate(const Case& c) {
   });
 }
 
-/// A composite app (radix sort: enumerate + split + permute + scans) runs
-/// many distinct strip-mine sites back to back through the shared cache.
+/// Composite apps run many distinct strip-mine sites back to back through
+/// the shared cache: the radix sort (get_flags and split, which is
+/// enumerate, p-add, p-select and permute) and a histogram (the same passes
+/// over the odd key width its seeded bin count needs, then run flags, a
+/// segmented reduce, pack and permute).  The passes also run at that width
+/// over the raw values, whose higher bits must keep the order the low bits
+/// give.  Four passes: a sort stores its call record on its second call
+/// (third, for an odd width with a block shape that runs once a call), so
+/// the last passes replay the sorts at the call level.
 std::string check_apps(const Case& c) {
   return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
     const unsigned vlen = norm_vlen(c.vlen);
     const std::size_t n = c.vl % (kMaxN + 1);
     const std::vector<T> a = to_elems<T>(c.a, n);
-    return differential<T>("trace.apps", vlen, true, 2, -1,
-                           [&](std::vector<T>& out) {
-                             out = a;
-                             apps::split_radix_sort<T, L>(std::span<T>(out));
-                           });
+    // An odd width of at most 11 bits keeps the bins few.
+    const unsigned widths = (std::min(rvv::kSewBits<T>, 11u) + 1) / 2;
+    const unsigned key_bits = 1 + 2 * static_cast<unsigned>(c.offset % widths);
+    const std::size_t half = std::size_t{1} << (key_bits - 1);
+    const std::size_t bins = half + 1 + static_cast<std::size_t>(c.scalar % half);
+    std::vector<T> keys(n);
+    for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<T>(a[i] % bins);
+    // split's destination indices must fit T.
+    const bool passes_fit =
+        n == 0 || n - 1 <= static_cast<std::size_t>(std::numeric_limits<T>::max());
+    return differential<T>(
+        "trace.apps", vlen, true, 4, -1, [&](std::vector<T>& out) {
+          out = a;
+          apps::split_radix_sort<T, L>(std::span<T>(out));
+          std::vector<T> counts(bins, T{0});
+          apps::histogram<T, L>(std::span<const T>(keys), std::span<T>(counts));
+          out.insert(out.end(), counts.begin(), counts.end());
+          if (passes_fit) {
+            std::vector<T> low = a;
+            apps::detail::radix_sort_passes<T, L>(std::span<T>(low), key_bits);
+            out.insert(out.end(), low.begin(), low.end());
+          }
+        });
   });
 }
 
@@ -553,9 +580,11 @@ constexpr unsigned kFusedKernelCount = 17;
 /// the kernel, 0-3 warm-up calls (so the deadline call records, verifies or
 /// replays), and the deadline offset — three times in four on a vsetvl's
 /// poll point of the call, or one off it, where a steady-state run's
-/// admission must stop exactly as the interpreter's polls do.  Cache on and
-/// off must agree on whether and where the call traps, on per-class counts,
-/// on data and on the register-file stats.
+/// admission must stop exactly as the interpreter's polls do; for the
+/// radix sort, a third of the offsets then move to the call's last
+/// instruction or one past it, where a sort warmed twice replays.  Cache
+/// on and off must agree on whether and where the call traps, on
+/// per-class counts, on data and on the register-file stats.
 std::string check_deadline(const Case& c) {
   return detail::dispatch_sew_lmul(c, [&]<class T, unsigned L>() -> std::string {
     using UI = std::make_unsigned_t<T>;
@@ -601,6 +630,11 @@ std::string check_deadline(const Case& c) {
     if (!polls.empty() && rng.below(4) != 0) {
       d = polls[static_cast<std::size_t>(rng.below(polls.size()))] + rng.below(3);
       d = d == 0 ? 0 : d - 1;
+    }
+    if (which == kFusedKernelCount - 1 && rng.below(3) == 0) {
+      // A warm sort replays at the call level only past its last
+      // instruction: land on either side of that edge.
+      d = call_insts + rng.below(2);
     }
 
     struct Outcome {

@@ -17,7 +17,9 @@
 // an explicit LMUL, which bypasses this header entirely.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -66,7 +68,10 @@ struct TuneScratch {
 /// representative size.  `measure(lc, scratch)` must run the kernel at the
 /// compile-time LMUL `lc` on the scratch operands; it is invoked once per
 /// surviving candidate, each time on a fresh scratch machine cloned from
-/// `like`'s shape.
+/// `like`'s shape.  One set of scratch operands serves every candidate of
+/// a decision: built on the first measurement and zeroed again before each
+/// later one, so every candidate sees all-zero inputs and a decision
+/// allocates them once.
 template <rvv::VectorElement T, class Measure>
 [[nodiscard]] unsigned tuned_lmul(rvv::Machine& like, unsigned harts,
                                   tune::Shape shape, std::size_t n,
@@ -87,11 +92,18 @@ template <rvv::VectorElement T, class Measure>
   const rvv::Machine::Config scratch_cfg{
       .vlen_bits = like.vlen_bits(),
       .model_register_pressure = like.regfile() != nullptr};
+  std::optional<TuneScratch<T>> operands;
   return tuner.choose(key, [&](unsigned lmul) -> std::uint64_t {
     rvv::Machine scratch(scratch_cfg);
     rvv::MachineScope scope(scratch);
-    TuneScratch<T> operands(tune::representative_n(n));
-    with_lmul(lmul, [&](auto lc) { measure(lc, operands); });
+    if (!operands) {
+      operands.emplace(tune::representative_n(n));
+    } else {
+      for (std::vector<T>* v : {&operands->a, &operands->b, &operands->c}) {
+        std::ranges::fill(*v, T{0});
+      }
+    }
+    with_lmul(lmul, [&](auto lc) { measure(lc, *operands); });
     return scratch.counter().total();
   });
 }

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/histogram.hpp"
 #include "apps/radix_sort.hpp"
 #include "check/fault_injection.hpp"
 #include "par/par.hpp"
@@ -1110,38 +1111,39 @@ TEST(ExecCache, NarrowEnumerateWrapsDstAndCountsExactly) {
 
 // --- call-level replay (svm::split) ---------------------------------------
 
-/// One split call on one machine: what it returned or trapped with (kind
-/// and instruction number), the buffer it wrote, and what it charged.
+/// One call of a call-replaying kernel on one machine: what it returned or
+/// trapped with (kind and instruction number), the buffer it wrote, and
+/// what it charged.
 template <class T>
-struct SplitOutcome {
+struct ReplayOutcome {
   std::string result;
   std::vector<T> written;
   sim::CountSnapshot counts;
   std::optional<u64> trap_offset;  ///< the trap's instruction within the call
 };
 
-/// A cache-on and a cache-off machine taking the same split calls.  Every
-/// call must have the same outcome on both.
+/// A cache-on and a cache-off machine taking the same split (or sort)
+/// calls.  Every call must have the same outcome on both.
 template <class T>
-struct SplitMachines {
+struct ReplayMachines {
   rvv::Machine cached;
   rvv::Machine plain;
 
-  explicit SplitMachines(unsigned vlen)
+  explicit ReplayMachines(unsigned vlen)
       : cached({.vlen_bits = vlen}),
         plain({.vlen_bits = vlen, .use_exec_cache = false}) {}
 
   /// Runs `call(m, buf)` on each machine and compares the outcomes.  The
-  /// call fills `buf` (a fresh vector per machine), calls split with its
-  /// destination inside it, and returns split's result.
+  /// call fills `buf` (a fresh vector per machine), calls the kernel with
+  /// its output inside it, and returns the kernel's result (0 for a sort).
   template <class Call>
-  SplitOutcome<T> run(Call&& call, const std::string& what) {
+  ReplayOutcome<T> run(Call&& call, const std::string& what) {
     const auto on = [&](rvv::Machine& m) {
       rvv::MachineScope scope(m);
-      SplitOutcome<T> o;
+      ReplayOutcome<T> o;
       const sim::CountSnapshot c0 = m.counter().snapshot();
       try {
-        o.result = "zeros " + std::to_string(call(m, o.written));
+        o.result = "returned " + std::to_string(call(m, o.written));
       } catch (const Trap& e) {
         o.result = std::string(sim::to_string(e.kind())) + " at inst " +
                    std::to_string(e.context().inst_number);
@@ -1151,8 +1153,8 @@ struct SplitMachines {
       o.counts = m.counter().snapshot() - c0;
       return o;
     };
-    const SplitOutcome<T> got = on(cached);
-    const SplitOutcome<T> want = on(plain);
+    const ReplayOutcome<T> got = on(cached);
+    const ReplayOutcome<T> want = on(plain);
     EXPECT_EQ(got.result, want.result) << what;
     EXPECT_EQ(got.written, want.written) << what;
     expect_same_counts(got.counts, want.counts, what.c_str());
@@ -1162,7 +1164,7 @@ struct SplitMachines {
   /// A call of split<T, L> over seeded data and 0/1 flags, with a deadline
   /// `deadline` instructions on when that is non-zero.
   template <unsigned L>
-  SplitOutcome<T> clean(std::size_t n, std::uint32_t seed, u64 deadline = 0) {
+  ReplayOutcome<T> clean(std::size_t n, std::uint32_t seed, u64 deadline = 0) {
     const std::vector<T> src = test::random_vector<T>(n, seed);
     const std::vector<T> flags = test::random_vector<T>(n, seed + 1, 2);
     return run(
@@ -1209,7 +1211,7 @@ TYPED_TEST(CallReplay, MatchesTheInterpreterAtEverySizeAndLmul) {
       // Destination indices live in T: u8 splits at most 256 elements.
       if (n > std::size_t{std::numeric_limits<T>::max()} + 1) continue;
       SCOPED_TRACE(testing::Message() << "n " << n << " at LMUL " << L);
-      SplitMachines<T> ms(128);
+      ReplayMachines<T> ms(128);
       for (std::uint32_t call = 0; call < 5; ++call) {
         static_cast<void>(ms.template clean<L>(n, 10 * call));
       }
@@ -1232,7 +1234,7 @@ TYPED_TEST(CallReplay, MatchesTheInterpreterAtEverySizeAndLmul) {
 constexpr std::size_t kSplitN = 29;
 constexpr std::size_t kSplitBlocks = 4;
 
-void warm(SplitMachines<u32>& ms) {
+void warm(ReplayMachines<u32>& ms) {
   static_cast<void>(ms.clean<2>(kSplitN, 1));
   EXPECT_EQ(ms.records(), 0u) << "a call that recorded traces stored a record";
   static_cast<void>(ms.clean<2>(kSplitN, 2));
@@ -1242,7 +1244,7 @@ void warm(SplitMachines<u32>& ms) {
 }
 
 TEST(CallReplayFallback, NonBinaryFlagRunsTheLoops) {
-  SplitMachines<u32> ms(128);
+  ReplayMachines<u32> ms(128);
   warm(ms);
   const std::vector<u32> src = iota_data(kSplitN);
   for (const std::size_t at : {std::size_t{0}, std::size_t{13}, kSplitN - 1}) {
@@ -1266,7 +1268,7 @@ TEST(CallReplayFallback, OverlappingDestinationRunsTheLoops) {
   // One buffer holds src (or the flags) from element 1 and dst from element
   // 0 or 1; the other operand lives apart.  The composite body would read
   // what it had already written.
-  SplitMachines<u32> ms(128);
+  ReplayMachines<u32> ms(128);
   warm(ms);
   const std::vector<u32> data = iota_data(kSplitN + 1);
   const std::vector<u32> flag_bits = test::random_vector<u32>(kSplitN + 1, 8, 2);
@@ -1301,14 +1303,14 @@ TEST(CallReplayFallback, DeadlineInsideTheCallRunsTheLoops) {
   // Sweep the deadline over every instruction of a warm call.  A deadline
   // at or before the call's last instruction runs the five loops, which
   // trap at each of their vsetvls in turn; one past it replays the call.
-  SplitMachines<u32> ms(128);
+  ReplayMachines<u32> ms(128);
   warm(ms);
   const u64 call_insts = ms.clean<2>(kSplitN, 4).counts.total();
   ASSERT_EQ(ms.stats().call_replays, 1u);
   std::set<u64> trap_points;
   for (u64 d = 1; d <= call_insts + 1; ++d) {
     const u64 replays = ms.stats().call_replays;
-    const SplitOutcome<u32> o = ms.clean<2>(kSplitN, 5, d);
+    const ReplayOutcome<u32> o = ms.clean<2>(kSplitN, 5, d);
     EXPECT_EQ(ms.stats().call_replays - replays, d > call_insts ? 1u : 0u)
         << "deadline offset " << d;
     if (o.trap_offset) trap_points.insert(*o.trap_offset);
@@ -1320,7 +1322,7 @@ TEST(CallReplayFallback, DeadlineInsideTheCallRunsTheLoops) {
 }
 
 TEST(CallReplayFallback, ArmedFaultHookRunsTheLoops) {
-  SplitMachines<u32> ms(128);
+  ReplayMachines<u32> ms(128);
   warm(ms);
   check::FaultInjector probe({});  // passive: observes, never fires
   ms.cached.set_fault_hook(&probe);
@@ -1335,7 +1337,7 @@ TEST(CallReplayFallback, ArmedFaultHookRunsTheLoops) {
 }
 
 TEST(CallReplayFallback, InvalidationDropsTheRecords) {
-  SplitMachines<u32> ms(128);
+  ReplayMachines<u32> ms(128);
   warm(ms);
   ms.cached.invalidate_exec_caches();
   EXPECT_EQ(ms.records(), 0u);
@@ -1347,6 +1349,256 @@ TEST(CallReplayFallback, InvalidationDropsTheRecords) {
   EXPECT_EQ(ms.records(), 1u);
   static_cast<void>(ms.clean<2>(kSplitN, 7));
   EXPECT_EQ(ms.stats().call_replays, 1u);
+  ms.expect_same_regfile();
+}
+
+// --- call-level replay (apps::detail::radix_sort_passes) -----------------
+
+using u8 = std::uint8_t;
+
+/// Where a sort case enters the radix sort's passes.
+enum class SortEntry { kSort, kHistogram, kPasses };
+
+const char* entry_name(SortEntry e) {
+  switch (e) {
+    case SortEntry::kSort: return "split_radix_sort";
+    case SortEntry::kHistogram: return "histogram";
+    case SortEntry::kPasses: return "radix_sort_passes";
+  }
+  return "?";
+}
+
+/// One call of a sort case over data seeded by `seed`, its output in `out`:
+/// split_radix_sort over full-range keys (key_bits is then the key width),
+/// a histogram with the fewest bins that take key_bits passes, or the
+/// passes themselves over full-range keys, whose bits above key_bits must
+/// ride along in the order the low bits give.
+template <class T, unsigned L>
+std::size_t sort_call(SortEntry entry, std::size_t n, unsigned key_bits,
+                      std::uint32_t seed, std::vector<T>& out) {
+  switch (entry) {
+    case SortEntry::kSort:
+      out = test::random_vector<T>(n, seed);
+      apps::split_radix_sort<T, L>(std::span<T>(out));
+      break;
+    case SortEntry::kHistogram: {
+      const std::size_t bins = (std::size_t{1} << (key_bits - 1)) + 1;
+      const std::vector<T> keys = test::random_vector<T>(n, seed, bins);
+      out.assign(bins, T{0x5A});
+      apps::histogram<T, L>(std::span<const T>(keys), std::span<T>(out));
+      break;
+    }
+    case SortEntry::kPasses:
+      out = test::random_vector<T>(n, seed);
+      apps::detail::radix_sort_passes<T, L>(std::span<T>(out), key_bits);
+      break;
+  }
+  return 0;
+}
+
+/// The first of a fresh machine's calls of one sort shape that replays.  A
+/// trace fuses from its third run, and the sort stores its record on the
+/// first call in which every loop iteration fused.  A call runs each block
+/// shape of get_flags and of split's loops once per key bit and block of
+/// that shape, and an odd count's closing p_copy once per block.  So the
+/// second call stores the record, unless key_bits is odd and some block
+/// shape occurs once (a tail, or a single full block): then p_copy fuses
+/// only on the third.
+std::uint32_t first_sort_replay(std::size_t n, std::size_t vlmax, unsigned key_bits) {
+  const bool shape_once = n % vlmax != 0 || n / vlmax == 1;
+  return key_bits % 2 != 0 && shape_once ? 4 : 3;
+}
+
+template <class T>
+class SortReplay : public testing::Test {};
+TYPED_TEST_SUITE(SortReplay, SplitElementTypes);
+
+TYPED_TEST(SortReplay, MatchesTheInterpreterAtEverySizeLmulAndKeyWidth) {
+  // Four calls per case over fresh data.  The call before the first replay
+  // stores the sort's record next to split's, and every later call replays
+  // it for one call_replays; the passes would add one per split that
+  // replayed its own record.
+  using T = TypeParam;
+  constexpr unsigned kSew = rvv::kSewBits<T>;
+  constexpr auto kMaxIndex = std::size_t{std::numeric_limits<T>::max()};
+  const auto at_lmul = [&]<unsigned L>() {
+    const std::size_t vlmax = rvv::vlmax_for(128, kSew, L);
+    const std::set<std::size_t> sizes{2, vlmax - 1, vlmax, vlmax + 1, 3 * vlmax + 5, 300};
+    for (const std::size_t n : sizes) {
+      // Narrow keys past their index range sort as u32 (sort and histogram).
+      const bool widened = n - 1 > kMaxIndex;
+      const std::size_t pass_vlmax = widened ? rvv::vlmax_for(128, 32, L) : vlmax;
+      for (const unsigned key_bits : {1u, std::min(kSew / 2 + 1, 9u), kSew}) {
+        for (const SortEntry entry :
+             {SortEntry::kSort, SortEntry::kHistogram, SortEntry::kPasses}) {
+          if (entry == SortEntry::kSort && (key_bits != kSew || n < 2)) continue;
+          if (entry == SortEntry::kHistogram && key_bits > 16) continue;  // bins
+          if (entry == SortEntry::kPasses && widened) continue;  // indices fit T
+          SCOPED_TRACE(testing::Message() << entry_name(entry) << ", n " << n
+                                          << ", LMUL " << L << ", key_bits "
+                                          << key_bits);
+          ReplayMachines<T> ms(128);
+          const std::uint32_t first = first_sort_replay(n, pass_vlmax, key_bits);
+          for (std::uint32_t call = 1; call <= 4; ++call) {
+            const u64 replays = ms.stats().call_replays;
+            ms.run(
+                [&](rvv::Machine&, std::vector<T>& out) {
+                  return sort_call<T, L>(entry, n, key_bits, 100 * call, out);
+                },
+                "call " + std::to_string(call));
+            EXPECT_EQ(ms.records() == 2, call + 1 >= first) << "call " << call;
+            if (call >= first) {
+              EXPECT_EQ(ms.stats().call_replays - replays, 1u) << "call " << call;
+            }
+          }
+          ms.expect_same_regfile();
+          EXPECT_EQ(ms.stats().trace_aborts, 0u);
+          EXPECT_EQ(ms.stats().trace_poisons, 0u);
+        }
+      }
+    }
+  };
+  at_lmul.template operator()<1>();
+  at_lmul.template operator()<2>();
+  at_lmul.template operator()<4>();
+  at_lmul.template operator()<8>();
+}
+
+// The sort fallbacks sort u8 keys at LMUL 1 (VLMAX 16 at VLEN 128) with
+// n = 37: two full blocks and a tail, eight passes.  The second call
+// stores the record and the third replays it.
+constexpr std::size_t kSortN = 37;
+constexpr std::size_t kSortBlocks = 3;
+
+ReplayOutcome<u8> sort_u8(ReplayMachines<u8>& ms, std::uint32_t seed, u64 deadline = 0) {
+  return ms.run(
+      [&](rvv::Machine& m, std::vector<u8>& out) -> std::size_t {
+        out = test::random_vector<u8>(kSortN, seed);
+        if (deadline != 0) m.set_instruction_deadline(m.counter().total() + deadline);
+        apps::split_radix_sort<u8, 1>(std::span<u8>(out));
+        return 0;
+      },
+      "seed " + std::to_string(seed) + ", deadline " + std::to_string(deadline));
+}
+
+void warm_sort(ReplayMachines<u8>& ms) {
+  static_cast<void>(sort_u8(ms, 1));
+  static_cast<void>(sort_u8(ms, 2));
+  EXPECT_EQ(ms.records(), 2u) << "split's record and the sort's";
+  const u64 replays = ms.stats().call_replays;
+  static_cast<void>(sort_u8(ms, 3));
+  EXPECT_EQ(ms.stats().call_replays - replays, 1u);
+}
+
+TEST(SortReplayFallback, DeadlineInsideTheSortRunsThePasses) {
+  // Sweep the deadline over every instruction of a warm sort.  A deadline
+  // at or before the sort's last instruction runs the passes, which trap
+  // at each of their vsetvls in turn (a split that ends before the
+  // deadline still replays its own record); one past it replays the sort.
+  ReplayMachines<u8> ms(128);
+  warm_sort(ms);
+  const u64 call_insts = sort_u8(ms, 4).counts.total();
+  std::set<u64> trap_points;
+  for (u64 d = 1; d <= call_insts + 1; ++d) {
+    const u64 replays = ms.stats().call_replays;
+    const ReplayOutcome<u8> o = sort_u8(ms, 5, d);
+    if (o.trap_offset) trap_points.insert(*o.trap_offset);
+    const u64 added = ms.stats().call_replays - replays;
+    if (d == call_insts) {
+      EXPECT_EQ(added, 8u) << "the passes ran, every split replayed";
+    } else if (d > call_insts) {
+      EXPECT_EQ(added, 1u) << "the sort replayed";
+    }
+  }
+  // Every vsetvl of the eight passes' six loops trapped once.
+  EXPECT_EQ(trap_points.size(), 8 * 6 * kSortBlocks);
+  ms.expect_same_regfile();
+}
+
+TEST(SortReplayFallback, ArmedFaultHookRunsThePasses) {
+  ReplayMachines<u8> ms(128);
+  warm_sort(ms);
+  check::FaultInjector probe({});  // passive: observes, never fires
+  ms.cached.set_fault_hook(&probe);
+  ms.plain.set_fault_hook(&probe);
+  u64 replays = ms.stats().call_replays;
+  static_cast<void>(sort_u8(ms, 4));
+  EXPECT_EQ(ms.stats().call_replays, replays) << "neither the sort nor a split replays";
+  ms.cached.set_fault_hook(nullptr);
+  ms.plain.set_fault_hook(nullptr);
+  replays = ms.stats().call_replays;
+  static_cast<void>(sort_u8(ms, 5));
+  EXPECT_EQ(ms.stats().call_replays - replays, 1u);
+  ms.expect_same_regfile();
+}
+
+TEST(SortReplayFallback, InvalidationDropsTheRecord) {
+  ReplayMachines<u8> ms(128);
+  warm_sort(ms);
+  ms.cached.invalidate_exec_caches();
+  EXPECT_EQ(ms.records(), 0u);
+  // The traces went too: record and verify them, then store again.
+  static_cast<void>(sort_u8(ms, 4));
+  EXPECT_LT(ms.records(), 2u);
+  static_cast<void>(sort_u8(ms, 5));
+  EXPECT_EQ(ms.records(), 2u);
+  const u64 replays = ms.stats().call_replays;
+  static_cast<void>(sort_u8(ms, 6));
+  EXPECT_EQ(ms.stats().call_replays - replays, 1u);
+  ms.expect_same_regfile();
+}
+
+TEST(SortReplayFallback, TunedLmulRunsThePasses) {
+  // The tuned instantiation (bench_runner's tuned sort cell) lets each
+  // kernel pick its own LMUL, so no shape names its loops: it stores no
+  // record of its own, and a warm call's splits each replay theirs.
+  ReplayMachines<u32> ms(128);
+  for (std::uint32_t call = 1; call <= 4; ++call) {
+    const u64 replays = ms.stats().call_replays;
+    ms.run(
+        [&](rvv::Machine&, std::vector<u32>& out) -> std::size_t {
+          out = test::random_vector<u32>(kSortN, call);
+          apps::detail::radix_sort_passes<u32, svm::kTunedLmul>(std::span<u32>(out), 8);
+          return 0;
+        },
+        "tuned call " + std::to_string(call));
+    if (call >= 2) {
+      EXPECT_EQ(ms.stats().call_replays - replays, 8u) << "call " << call;
+    }
+  }
+  EXPECT_EQ(ms.records(), 1u) << "split's record only";
+  ms.expect_same_regfile();
+}
+
+TEST(SortReplayFallback, KeyBitsPastTheKeyWidthRunThePasses) {
+  // 300 bins take nine passes over u8 keys.  The ninth pass's shift amount
+  // wraps to bit 0 (vsrl reads the low lg(SEW) bits of it), so the passes
+  // leave the keys ordered by bit 0 and then by value, an order a sort by
+  // the low key bits does not give; only the passes produce it.
+  ReplayMachines<u8> ms(128);
+  constexpr std::size_t n = 200;
+  for (std::uint32_t call = 1; call <= 4; ++call) {
+    const u64 replays = ms.stats().call_replays;
+    ms.run(
+        [&](rvv::Machine&, std::vector<u8>& out) -> std::size_t {
+          const std::vector<u8> keys = test::random_vector<u8>(n, call);
+          out.assign(300, 0x5A);
+          apps::histogram<u8, 1>(std::span<const u8>(keys), std::span<u8>(out));
+          return 0;
+        },
+        "histogram call " + std::to_string(call));
+    ms.run(
+        [&](rvv::Machine&, std::vector<u8>& out) -> std::size_t {
+          out = test::random_vector<u8>(n, 10 + call);
+          apps::detail::radix_sort_passes<u8, 1>(std::span<u8>(out), 9);
+          return 0;
+        },
+        "passes call " + std::to_string(call));
+    if (call >= 2) {
+      EXPECT_EQ(ms.stats().call_replays - replays, 18u) << "every split replayed";
+    }
+  }
+  EXPECT_EQ(ms.records(), 1u) << "split's record only";
   ms.expect_same_regfile();
 }
 
